@@ -1,0 +1,7 @@
+"""Put the checkout's src/ and the benchmark's modules on the import path."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
