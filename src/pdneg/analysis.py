@@ -9,6 +9,7 @@ location and magnitude; a report passes exactly when it has no violations.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from .errors import (
     LengthMismatch,
     NegatorRequired,
 )
-from .negators import NegatorDescriptor, apply_transformation, evaluate
+from .negators import NegatorDescriptor, _coerce_probability, apply_transformation, evaluate
 
 #: Grid resolution used by default for all sweeps over [0, 1].
 DEFAULT_GRID_SIZE = 1001
@@ -141,14 +142,35 @@ def _grid(grid_size: int) -> list[float]:
     return [k / last for k in range(grid_size)]
 
 
+def _reverses_order(p: tuple[float, ...], q: tuple[float, ...], tolerance: float) -> bool:
+    # Sweep the components from the largest p down, in groups of equal p,
+    # keeping the largest q seen at a strictly larger p.  A group violates
+    # the order iff its smallest q lies more than the tolerance below that
+    # running maximum or below the largest q of the group itself (equal p
+    # constrain both ways).  Needs tolerance >= 0, so that i = j never counts.
+    higher = -math.inf
+    order = sorted(range(len(p)), key=p.__getitem__, reverse=True)
+    for _, group in itertools.groupby(order, key=p.__getitem__):
+        qs = [q[i] for i in group]
+        top = max(higher, max(qs))
+        if min(qs) < top - tolerance:
+            return False
+        higher = top
+    return True
+
+
 def check_negation_pair(p_dist: Distribution, q_dist: Distribution, tolerance: float = DEFAULT_TOLERANCE) -> CheckReport:
     """Check that Q reverses the component order of P.
 
     Passes iff p_i <= p_j implies q_i >= q_j (within tolerance) for every
-    index pair; each violating 1-based pair (i, j) is reported.
+    index pair; each violating 1-based pair (i, j) is reported, in order of
+    i then j.  O(n log n) when the pair passes; the violations of a failing
+    pair are enumerated over all n^2 index pairs.
     """
     if len(p_dist) != len(q_dist):
         raise LengthMismatch(f"lengths differ: {len(p_dist)} vs {len(q_dist)}")
+    if tolerance >= 0.0 and _reverses_order(p_dist.values, q_dist.values, tolerance):
+        return _report("negation-pair", (), 0, tolerance)
     violations = []
     n = len(p_dist)
     for i in range(n):
@@ -190,8 +212,8 @@ def fixed_point_check(
         if abs(at_u - u) > tolerance:
             violations.append(Violation(u, expected=u, actual=at_u, magnitude=abs(at_u - u)))
         if descriptor.claims_negator:
-            for p in _grid(grid_size):
-                value = evaluate(descriptor, p, n=n)
+            grid = _grid(grid_size)
+            for p, value in zip(grid, descriptor.images(grid, n)):
                 if abs(value - p) <= tolerance:
                     if abs(p - u) > tolerance:
                         violations.append(Violation(p, expected=u, actual=p, magnitude=abs(p - u)))
@@ -206,6 +228,17 @@ def fixed_point_check(
     return _report("fixed-point", violations, grid_size, tolerance, notes=notes)
 
 
+def _balance_residuals(descriptor: NegatorDescriptor, n: int, ps: list[float]) -> list[float]:
+    if not descriptor.claims_pd_independent:
+        raise IndependenceRequired(
+            f"{descriptor.spec_string()} does not claim pd-independence"
+        )
+    if n < 2:
+        raise LengthError(f"need n >= 2, got {n}")
+    at_q = descriptor.images([(1.0 - p) / (n - 1) for p in ps], n)
+    return [abs(lhs - (1.0 - at_p) / (n - 1)) for lhs, at_p in zip(at_q, descriptor.images(ps, n))]
+
+
 def functional_equation_residual(descriptor: NegatorDescriptor, n: int, p: float) -> float:
     """Residual of the balance identity tying N at p to N at (1-p)/(n-1).
 
@@ -214,16 +247,7 @@ def functional_equation_residual(descriptor: NegatorDescriptor, n: int, p: float
     q = (1 - p)/(n - 1); the returned value is |lhs - rhs|, zero in exact
     arithmetic.
     """
-    if not descriptor.claims_pd_independent:
-        raise IndependenceRequired(
-            f"{descriptor.spec_string()} does not claim pd-independence"
-        )
-    if n < 2:
-        raise LengthError(f"need n >= 2, got {n}")
-    q = (1.0 - p) / (n - 1)
-    lhs = evaluate(descriptor, q, n=n)
-    rhs = (1.0 - evaluate(descriptor, p, n=n)) / (n - 1)
-    return abs(lhs - rhs)
+    return _balance_residuals(descriptor, n, [_coerce_probability(p)])[0]
 
 
 def functional_equation_check(
@@ -233,9 +257,9 @@ def functional_equation_check(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> CheckReport:
     """Sweep the balance-identity residual over a grid."""
+    grid = _grid(grid_size)
     violations = []
-    for p in _grid(grid_size):
-        residual = functional_equation_residual(descriptor, n, p)
+    for p, residual in zip(grid, _balance_residuals(descriptor, n, grid)):
         if residual > tolerance:
             violations.append(Violation(p, expected=0.0, actual=residual, magnitude=residual))
     return _report("functional-equation", violations, grid_size, tolerance)
@@ -281,8 +305,8 @@ def boundary_range_check(
     tied = (1.0 - at_one) / (n - 1)
     if abs(at_zero - tied) > tolerance:
         violations.append(Violation(0.0, expected=tied, actual=at_zero, magnitude=abs(at_zero - tied)))
-    for p in _grid(grid_size):
-        value = evaluate(descriptor, p, n=n)
+    grid = _grid(grid_size)
+    for p, value in zip(grid, descriptor.images(grid, n)):
         if p >= u:
             candidate = _interval_violation(p, value, 0.0, u, tolerance)
             if candidate is not None:
@@ -319,9 +343,10 @@ def linearity_test(
     if abs(alpha - raw) > tolerance:
         return LinearityVerdict(is_linear=False, alpha_estimate=None, max_residual=math.inf)
     max_residual = 0.0
-    for p in _grid(grid_size):
+    grid = _grid(grid_size)
+    for p, value in zip(grid, descriptor.images(grid, n)):
         line = alpha / n + (1.0 - alpha) * (1.0 - p) / (n - 1)
-        max_residual = max(max_residual, abs(evaluate(descriptor, p, n=n) - line))
+        max_residual = max(max_residual, abs(value - line))
     return LinearityVerdict(
         is_linear=max_residual <= tolerance,
         alpha_estimate=alpha,

@@ -72,19 +72,27 @@ _APPLICATION_ERRORS = (
 def _read_input(path: str | None) -> list[tuple[str, list[float]]]:
     text = sys.stdin.read() if path in (None, "-") else Path(path).read_text()
     if text.lstrip().startswith("{"):
-        document = json.loads(text)
+        # Integers are read as floats (beyond float range as inf, like 1e999),
+        # so a value is a number exactly when its type is float: not bool,
+        # null, a string or a container.
+        document = json.loads(text, parse_int=float)
         entries = document.get("distributions")
         if not isinstance(entries, list) or not entries:
             raise ValueError("input document needs a non-empty 'distributions' list")
         labelled = []
-        for entry in entries:
+        for index, entry in enumerate(entries, start=1):
+            if not isinstance(entry, dict):
+                raise ValueError(f"distribution entry #{index} is {json.dumps(entry)}, expected an object")
             label = entry.get("label")
             values = entry.get("values")
             if not isinstance(label, str) or not label:
-                raise ValueError(f"distribution entry {entry!r} needs a non-empty 'label'")
+                raise ValueError(f"distribution entry #{index} needs a non-empty string 'label'")
             if not isinstance(values, list):
                 raise ValueError(f"distribution {label!r} needs a 'values' list")
-            labelled.append((label, [float(v) for v in values]))
+            if not all(type(v) is float for v in values):
+                position, value = next((i, v) for i, v in enumerate(values, start=1) if type(v) is not float)
+                raise ValueError(f"distribution {label!r}: value #{position} is {json.dumps(value)}, expected a number")
+            labelled.append((label, values))
     else:
         labelled = []
         for line in text.splitlines():
@@ -367,3 +375,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -32,6 +32,13 @@ not depend on the surrounding distribution).  The claims are declared for
 built-ins and inferred for mixtures; the analysis module checks them
 empirically.
 
+Each descriptor maps a whole vector of values in one call of its kernel,
+:meth:`NegatorDescriptor.images`, which computes a pd-dependent normaliser
+once.  Costs in the distribution length n: :func:`apply_transformation` is
+O(n); :func:`evaluate` is O(n) with a context and O(1) without (O(n) for a
+claimed-independent generator, via its canonical context); and
+:func:`pdneg.analysis.check_negation_pair` is O(n log n) when the pair passes.
+
 Descriptors also have a textual form (see :func:`parse_descriptor`) used by
 the command line:
 
@@ -47,6 +54,7 @@ p = 1 (resp. p = 0) and therefore need the distribution length to resolve;
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -89,45 +97,85 @@ class NegatorDescriptor:
     uses_length: bool = False
 
     def spec_string(self) -> str:
-        raise NotImplementedError
+        """The textual form; a parameterless built-in's is its lower-cased class name."""
+        return type(self).__name__.lower()
+
+    def images(self, values: Sequence[float], n: int | None, context: Sequence[float] | None = None) -> list[float]:
+        """The images of ``values``, each already in [0, 1], at length ``n``.
+
+        ``context`` is the distribution the values come from, or ``values``
+        itself when they are that whole distribution.  pd-dependent
+        descriptors normalise over it once per call and check that each
+        value is one of its components; without it they raise
+        :class:`ContextRequired`, except a generator claiming independence.
+        """
+        raise DescriptorError(f"unknown descriptor type {type(self).__name__}")
 
 
 @dataclass(frozen=True)
 class Identity(NegatorDescriptor):
     claims_pd_independent = True
 
-    def spec_string(self) -> str:
-        return "identity"
+    def images(self, values, n, context=None):
+        return list(values)
 
 
-@dataclass(frozen=True)
-class RootSum(NegatorDescriptor):
-    def spec_string(self) -> str:
-        return "rootsum"
+class _LinearFamily(NegatorDescriptor):
+    """N(p) = alpha/n + (1 - alpha)(1 - p)/(n - 1); uniform is alpha = 1, Yager alpha = 0."""
 
-
-@dataclass(frozen=True)
-class Uniform(NegatorDescriptor):
     claims_negator = True
     claims_pd_independent = True
     uses_length = True
 
-    def spec_string(self) -> str:
-        return "uniform"
+    def images(self, values, n, context=None):
+        n = _require_length(self, n)
+        head, slope = self.alpha / n, 1.0 - self.alpha
+        return [head + slope * (1.0 - p) / (n - 1) for p in values]
+
+
+class _Normalised(NegatorDescriptor):
+    """N(p) = f(p) / sum f(p_i) over the context; ``numerators(values)`` gives f at each value."""
+
+    def images(self, values, n, context=None):
+        if context is None:
+            return self._without_context(values, n)
+        if context is values:
+            numerators = self.numerators(values)
+            return self._normalise(numerators, numerators)
+        for p in values:
+            if min(abs(c - p) for c in context) > CONTEXT_TOLERANCE:
+                raise ContextMismatch(f"{p!r} is not a component of the context distribution")
+        terms = self.numerators([min(max(c, 0.0), 1.0) for c in context])
+        return self._normalise(self.numerators(values), terms)
+
+    def _normalise(self, numerators: list[float], terms: list[float]) -> list[float]:
+        total = math.fsum(terms)
+        if total <= 0.0:
+            raise GeneratorError(f"{self.spec_string()} sums to {total!r} over the context, expected > 0")
+        return [x / total for x in numerators]
+
+    def _without_context(self, values, n):
+        raise ContextRequired(f"{type(self).__name__} is pd-dependent and needs a context distribution")
 
 
 @dataclass(frozen=True)
-class Yager(NegatorDescriptor):
-    claims_negator = True
-    claims_pd_independent = True
-    uses_length = True
-
-    def spec_string(self) -> str:
-        return "yager"
+class RootSum(_Normalised):
+    def numerators(self, values):
+        return [math.sqrt(p) for p in values]
 
 
 @dataclass(frozen=True)
-class Tsallis(NegatorDescriptor):
+class Uniform(_LinearFamily):
+    alpha = 1.0
+
+
+@dataclass(frozen=True)
+class Yager(_LinearFamily):
+    alpha = 0.0
+
+
+@dataclass(frozen=True)
+class Tsallis(_Normalised):
     k: float
     claims_negator = True
 
@@ -141,13 +189,16 @@ class Tsallis(NegatorDescriptor):
     def spec_string(self) -> str:
         return f"tsallis:k={self.k!r}"
 
+    def numerators(self, values):
+        # 1 - p^k as -expm1(k log p) keeps its accuracy where p^k is near 1 (tiny k);
+        # their sum is the normaliser n - sum p_i^k.  0.0 - x makes expm1(0) +0.0.
+        k = self.k
+        return [0.0 - math.expm1(k * math.log(p)) if p > 0.0 else 1.0 for p in values]
+
 
 @dataclass(frozen=True)
-class Linear(NegatorDescriptor):
+class Linear(_LinearFamily):
     alpha: float
-    claims_negator = True
-    claims_pd_independent = True
-    uses_length = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", float(self.alpha))
@@ -159,7 +210,7 @@ class Linear(NegatorDescriptor):
 
 
 @dataclass(frozen=True)
-class Generator(NegatorDescriptor):
+class Generator(_Normalised):
     """Descriptor backed by a caller-supplied generator function.
 
     ``fn`` must be effect-free, non-negative on [0, 1] and have a positive
@@ -180,6 +231,23 @@ class Generator(NegatorDescriptor):
 
     def spec_string(self) -> str:
         return f"generator:{self.label}"
+
+    def numerators(self, values):
+        out = [self.fn(p) for p in values]
+        for p, fp in zip(values, out):
+            if not fp >= 0.0:
+                raise GeneratorError(f"generator {self.label} is negative or NaN at {p!r}: f = {fp!r}")
+        return out
+
+    def _without_context(self, values, n):
+        if not (self.claims_pd_independent and n is not None):
+            return super()._without_context(values, n)
+        n = _require_length(self, n)
+        out = []
+        for p in values:
+            fp, fq = self.numerators((p, (1.0 - p) / (n - 1)))
+            out.extend(self._normalise([fp], [fp] + [fq] * (n - 1)))
+        return out
 
 
 @dataclass(frozen=True)
@@ -216,6 +284,11 @@ class Mixture(NegatorDescriptor):
         inner = ",".join(f"{w!r}*{d.spec_string()}" for w, d in self.components)
         return f"mix:[{inner}]"
 
+    def images(self, values, n, context=None):
+        weights = [w for w, _ in self.components]
+        columns = zip(*(inner.images(values, n, context) for _, inner in self.components))
+        return [math.fsum(map(operator.mul, weights, column)) for column in columns]
+
 
 IDENTITY = Identity()
 ROOT_SUM = RootSum()
@@ -223,12 +296,7 @@ UNIFORM = Uniform()
 YAGER = Yager()
 
 #: Parameterless built-ins by their textual name.
-BUILTINS: dict[str, NegatorDescriptor] = {
-    "identity": IDENTITY,
-    "rootsum": ROOT_SUM,
-    "uniform": UNIFORM,
-    "yager": YAGER,
-}
+BUILTINS: dict[str, NegatorDescriptor] = {d.spec_string(): d for d in (IDENTITY, ROOT_SUM, UNIFORM, YAGER)}
 
 
 def _coerce_probability(p: float) -> float:
@@ -247,36 +315,6 @@ def _require_length(descriptor: NegatorDescriptor, n: int | None) -> int:
     if n < 2:
         raise LengthError(f"need n >= 2, got {n}")
     return n
-
-
-def _canonical_context(p: float, n: int) -> Distribution:
-    # The distribution (p, q, ..., q) with q = (1 - p)/(n - 1); the unique
-    # length-n distribution, up to order, whose remaining mass is spread evenly.
-    q = (1.0 - p) / (n - 1)
-    return Distribution((p,) + (q,) * (n - 1))
-
-
-def _generator_value(fn: Callable[[float], float], label: str, p: float, context: Distribution) -> float:
-    values = []
-    for c in context.values:
-        fc = fn(min(max(c, 0.0), 1.0))
-        if math.isnan(fc):
-            raise GeneratorError(f"generator {label} returned NaN at {c!r}")
-        if fc < 0.0:
-            raise GeneratorError(f"generator {label} is negative at {c!r}: f = {fc!r}")
-        values.append(fc)
-    total = math.fsum(values)
-    if total <= 0.0:
-        raise GeneratorError(f"generator {label} sums to {total!r} over the context, expected > 0")
-    fp = fn(p)
-    if math.isnan(fp) or fp < 0.0:
-        raise GeneratorError(f"generator {label} is negative at {p!r}: f = {fp!r}")
-    return fp / total
-
-
-def _require_member(p: float, context: Distribution) -> None:
-    if min(abs(c - p) for c in context.values) > CONTEXT_TOLERANCE:
-        raise ContextMismatch(f"{p!r} is not a component of the context distribution")
 
 
 def evaluate(
@@ -300,64 +338,25 @@ def evaluate(
         if n is not None and n != len(context):
             raise ArgumentError(f"n={n} disagrees with the context length {len(context)}")
         n = len(context)
-    return _evaluate(descriptor, p, context, n)
-
-
-def _evaluate(descriptor, p, context, n):
-    if isinstance(descriptor, Identity):
-        return p
-    if isinstance(descriptor, Uniform):
-        return 1.0 / _require_length(descriptor, n)
-    if isinstance(descriptor, Yager):
-        return (1.0 - p) / (_require_length(descriptor, n) - 1)
-    if isinstance(descriptor, Linear):
-        n = _require_length(descriptor, n)
-        return descriptor.alpha / n + (1.0 - descriptor.alpha) * (1.0 - p) / (n - 1)
-    if isinstance(descriptor, Mixture):
-        return math.fsum(w * _evaluate(inner, p, context, n) for w, inner in descriptor.components)
-    if isinstance(descriptor, (RootSum, Tsallis, Generator)):
-        if context is None:
-            if isinstance(descriptor, Generator) and descriptor.claims_pd_independent and n is not None:
-                context = _canonical_context(p, _require_length(descriptor, n))
-            else:
-                raise ContextRequired(
-                    f"{type(descriptor).__name__} is pd-dependent and needs a context distribution"
-                )
-        else:
-            _require_member(p, context)
-        if isinstance(descriptor, RootSum):
-            total = math.fsum(math.sqrt(min(max(c, 0.0), 1.0)) for c in context.values)
-            return math.sqrt(p) / total
-        if isinstance(descriptor, Tsallis):
-            k = descriptor.k
-            denominator = len(context) - math.fsum(min(max(c, 0.0), 1.0) ** k for c in context.values)
-            if denominator <= 0.0:
-                raise GeneratorError(f"Tsallis normaliser is {denominator!r}, expected > 0")
-            return (1.0 - p ** k) / denominator
-        return _generator_value(descriptor.fn, descriptor.label, p, context)
-    raise DescriptorError(f"unknown descriptor type {type(descriptor).__name__}")
+        context = context.values
+    return descriptor.images((p,), n, context)[0]
 
 
 def apply_transformation(descriptor: NegatorDescriptor, dist: Distribution) -> Distribution:
     """Apply a transformation function component-wise to a distribution.
 
-    Equal components are evaluated once and the result reused, so equal
-    inputs map to bit-equal outputs.  The output must land back on the
-    simplex within 1e-9; anything else is an
-    :class:`InternalConsistencyError`, never renormalised away.
+    One kernel call maps every component in O(n); an image depends only on
+    its value and the shared normaliser, so equal inputs map to bit-equal
+    outputs.  The output must land back on the simplex within 1e-9;
+    anything else is an :class:`InternalConsistencyError`, never
+    renormalised away.
     """
-    images: dict[float, float] = {}
-    for value in dist.values:
-        if value not in images:
-            images[value] = evaluate(descriptor, value, context=dist)
-    transformed = tuple(images[value] for value in dist.values)
-    total = math.fsum(transformed)
-    if abs(total - 1.0) > OUTPUT_SUM_TOLERANCE:
-        raise InternalConsistencyError(
-            f"{descriptor.spec_string()} produced components summing to {total!r}"
-        )
+    values = dist.values
+    if min(values) < 0.0 or max(values) > 1.0:
+        values = tuple(_coerce_probability(v) for v in values)
+    images = descriptor.images(values, len(values), values)
     try:
-        return Distribution(transformed, OUTPUT_SUM_TOLERANCE)
+        return Distribution(images, OUTPUT_SUM_TOLERANCE)
     except (RangeError, SumError, LengthError) as exc:
         raise InternalConsistencyError(
             f"{descriptor.spec_string()} produced values off the simplex: {exc}"

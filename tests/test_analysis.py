@@ -7,8 +7,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import EXAMPLE_PD
+from conftest import EXAMPLE_PD, normalize
 from pdneg import (
     ArgumentError,
     ContextMismatch,
@@ -66,6 +67,24 @@ class TestNegationPair:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             check_negation_pair(Distribution((0.5, 0.5)), Distribution((0.4, 0.3, 0.3)))
+
+    @given(st.data(), st.sampled_from([0.0, 1e-12, 0.05]))
+    def test_matches_the_pairwise_definition(self, data, tolerance):
+        # Small integer weights give ties, zeros and point masses.
+        p = normalize(data.draw(st.lists(st.integers(0, 3), min_size=2, max_size=8).filter(any)))
+        source = data.draw(st.sampled_from(["independent", YAGER, UNIFORM, Tsallis(2.0), IDENTITY]))
+        if source == "independent":
+            q = normalize(data.draw(st.lists(st.integers(0, 3), min_size=len(p), max_size=len(p)).filter(any)))
+        else:
+            q = apply_transformation(source, p)
+        expected = [
+            ((i + 1, j + 1), q[j], q[i], q[j] - q[i])
+            for i in range(len(p)) for j in range(len(p))
+            if i != j and p[i] <= p[j] and q[i] < q[j] - tolerance
+        ]
+        report = check_negation_pair(p, q, tolerance)
+        assert report.passed == (not expected)
+        assert [(v.location, v.expected, v.actual, v.magnitude) for v in report.violations] == expected
 
 
 class TestFixedPoint:

@@ -5,6 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -285,3 +289,46 @@ class TestEntropyCommand:
         _, csv_out, _ = run(capsys, "entropy", "--input", path, "--format", "csv")
         (row,) = list(csv.DictReader(io.StringIO(csv_out)))
         assert float(row["entropy"]) == json.loads(json_out)["results"][0]["entropy"]
+
+
+class TestInputDocument:
+    @pytest.mark.parametrize(
+        "distributions,named",
+        [
+            ([1], "entry #1"),
+            ([{"label": "a", "values": [0.5, 0.5]}, "b"], "entry #2"),
+            ([{"label": 3, "values": [0.5, 0.5]}], "entry #1"),
+            ([{"label": "a", "values": [None, 1]}], "'a': value #1 is null"),
+            ([{"label": "a", "values": [True, False]}], "'a': value #1 is true"),
+            ([{"label": "a", "values": [1, False]}], "'a': value #2 is false"),
+            ([{"label": "a", "values": ["0.5", "0.5"]}], "'a': value #1 is \"0.5\""),
+            ([{"label": "a", "values": [[0.5], 0.5]}], "'a': value #1 is [0.5]"),
+            ([{"label": "a", "values": [10**400, 0]}], "'a': component 1 = inf"),
+        ],
+    )
+    def test_malformed_entries_exit_2_naming_the_entry(self, capsys, tmp_path, distributions, named):
+        path = write_input(tmp_path, json.dumps({"distributions": distributions}), "input.json")
+        code, out, err = run(capsys, "entropy", "--input", path)
+        assert code == 2
+        assert out == ""
+        assert named in err
+        assert "Traceback" not in err
+
+    def test_integer_values_are_numbers(self, capsys, tmp_path):
+        path = write_input(tmp_path, json.dumps({"distributions": [{"label": "a", "values": [1, 0]}]}))
+        code, out, _ = run(capsys, "entropy", "--input", path)
+        assert code == 0
+        assert json.loads(out)["results"][0]["entropy"] == 0.0
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["pdneg", "pdneg.cli"])
+    def test_python_dash_m_runs_the_cli(self, module):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", module, "entropy"], input=EXAMPLE_LINE,
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["results"][0]["entropy"] == pytest.approx(0.70, abs=1e-12)
+        usage = subprocess.run([sys.executable, "-m", module], capture_output=True, text=True, env=env, timeout=60)
+        assert usage.returncode == 2

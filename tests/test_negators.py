@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import EXAMPLE_PD, simplexes
 from pdneg import (
@@ -22,12 +22,14 @@ from pdneg import (
     InternalConsistencyError,
     Linear,
     Mixture,
+    NegationError,
     RangeError,
     ROOT_SUM,
     Tsallis,
     UNIFORM,
     WeightError,
     YAGER,
+    Yager,
     apply_transformation,
     evaluate,
     from_generator,
@@ -35,6 +37,7 @@ from pdneg import (
     linear_from_boundary,
     mixture,
     parse_descriptor,
+    point_distribution,
     sample_distributions,
     validate_distribution,
 )
@@ -177,12 +180,24 @@ class TestApplyTransformation:
                     assert out[i] == out[j]
 
     def test_off_simplex_output_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr("pdneg.negators.evaluate", lambda d, p, context=None, n=None: 0.4)
+        monkeypatch.setattr(Yager, "images", lambda self, values, n, context=None: [0.4] * len(values))
         with pytest.raises(InternalConsistencyError):
             apply_transformation(YAGER, Distribution((0.5, 0.5)))
 
 
 class TestFromGenerator:
+    def test_cost_is_linear_in_the_length(self):
+        calls = 0
+
+        def counting(p):
+            nonlocal calls
+            calls += 1
+            return 1.0 - p
+
+        n = 2000
+        from_generator(counting, sample_distributions(n, 1, seed=3)[0])
+        assert calls <= 2 * n
+
     def test_affine_generator_matches_hand_computation(self):
         out = from_generator(lambda p: 1.0 - p, Distribution((0.5, 0.3, 0.2)))
         assert out.values == pytest.approx((0.25, 0.35, 0.4), abs=1e-15)
@@ -229,6 +244,27 @@ class TestFromGenerator:
                 generated = from_generator(fn, dist)
                 closed = apply_transformation(reference, dist)
                 assert generated.values == pytest.approx(closed.values, abs=1e-12)
+
+
+class TestTsallisAcrossK:
+    @settings(deadline=None)
+    @given(st.floats(min_value=-15.0, max_value=4.0), st.integers(2, 1000), st.integers(0, 2**32 - 1),
+           st.booleans())
+    def test_valid_and_equal_to_the_expm1_generator(self, log_k, n, seed, point):
+        k = 10.0 ** log_k
+        dist = point_distribution(n, seed % n + 1) if point else sample_distributions(n, 1, seed)[0]
+        try:
+            out = apply_transformation(Tsallis(k), dist)
+        except NegationError:
+            return
+        validate_distribution(out.values)
+        reference = from_generator(lambda p: 1.0 if p == 0.0 else -math.expm1(k * math.log(p)), dist)
+        assert max(abs(a - b) for a, b in zip(out.values, reference.values)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1e-15, 1e-13, 1e-10, 1e-8, 1.0, 1e4])
+    def test_no_cancellation_on_seeded_distributions(self, k):
+        for dist in sample_distributions(6, 200, seed=0):
+            validate_distribution(apply_transformation(Tsallis(k), dist).values)
 
 
 class TestMixture:
