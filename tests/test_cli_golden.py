@@ -1,0 +1,76 @@
+"""Byte-exact CLI output: every command in JSON and CSV, plain and --pretty.
+
+The expected stdout of each case is a file under tests/golden/.  After a
+deliberate change to the output, rewrite them with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import EXAMPLE_PD
+from pdneg.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# The worked example (which has a zero), a tie and a point mass.
+DOCUMENT = json.dumps({"distributions": [
+    {"label": "example", "values": list(EXAMPLE_PD)},
+    {"label": "tie", "values": [0.25, 0.25, 0.5]},
+    {"label": "point", "values": [0.0, 1.0, 0.0]},
+]})
+
+# (name, argv, exit code)
+COMMANDS = [
+    ("negate-yager", ["negate", "yager"], 0),
+    ("negate-tsallis", ["negate", "tsallis:k=2"], 0),
+    ("negate-linear-n1", ["negate", "linear:n1=0.1"], 0),
+    ("iterate-yager", ["iterate", "yager", "--steps", "2"], 0),
+    ("sweep-alpha", ["sweep-alpha", "--alphas", "3"], 0),
+    ("entropy", ["entropy"], 0),
+    ("check-yager", ["check", "yager", "--n", "5"], 0),
+    ("check-tsallis", ["check", "tsallis:k=2", "--n", "5"], 1),
+]
+FORMATS = [
+    ("json", []),
+    ("pretty.json", ["--pretty"]),
+    ("csv", ["--format", "csv"]),
+    ("pretty.csv", ["--format", "csv", "--pretty"]),
+]
+CASES = [
+    (f"{name}.{suffix}", argv + flags, code)
+    for name, argv, code in COMMANDS
+    for suffix, flags in FORMATS
+]
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(DOCUMENT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("filename,argv,expected_code", CASES, ids=[case[0] for case in CASES])
+def test_output_bytes_match_the_recording(filename, argv, expected_code):
+    code, out, err = run(argv)
+    assert (code, err) == (expected_code, "")
+    assert out == (GOLDEN / filename).read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    for filename, argv, _ in CASES:
+        (GOLDEN / filename).write_text(run(argv)[1], encoding="utf-8")
