@@ -7,7 +7,9 @@ from --input (default stdin) either as a JSON document
 
 or as bare text, one whitespace/comma-separated distribution per line with
 labels auto-generated as pd1, pd2, ...  Reports go to stdout as JSON or CSV
-with full-precision numbers (--pretty rounds to 6 significant digits).
+with full-precision numbers (--pretty rounds to 6 significant digits).  CSV
+columns are the JSON record fields, with per-component lists unrolled one row
+per component and numbered by `index`; check writes one row per check.
 
 Exit status: 0 success, 1 a check failed (report still emitted), 2 parse or
 validation failure, 3 descriptor application failure.
@@ -19,14 +21,16 @@ import argparse
 import csv
 import json
 import sys
+from collections.abc import Iterable, Iterator
+from itertools import repeat
 from pathlib import Path
 
 from .analysis import (
     DEFAULT_GRID_SIZE,
     DEFAULT_TOLERANCE,
+    MAX_COMPONENT_EVALUATIONS,
     boundary_range_check,
     contexts_containing,
-    distance_to_uniform,
     fixed_point_check,
     functional_equation_check,
     independence_probe,
@@ -75,7 +79,10 @@ def _read_input(path: str | None) -> list[tuple[str, list[float]]]:
         # Integers are read as floats (beyond float range as inf, like 1e999),
         # so a value is a number exactly when its type is float: not bool,
         # null, a string or a container.
-        document = json.loads(text, parse_int=float)
+        try:
+            document = json.loads(text, parse_int=float)
+        except RecursionError:
+            raise ValueError("input document nests too deeply") from None
         entries = document.get("distributions")
         if not isinstance(entries, list) or not entries:
             raise ValueError("input document needs a non-empty 'distributions' list")
@@ -139,7 +146,23 @@ def _cell(value, pretty: bool) -> str:
     return "" if value is None else str(value)
 
 
-def _emit(args, payload: dict, header: list[str], rows: list[list]) -> None:
+def _unrolled(header: list[str], records: Iterable[dict]) -> Iterator[tuple | list]:
+    """CSV rows of report records: the columns are record fields, and a record
+    with per-component lists gives one row per component, numbered by `index`."""
+    for record in records:
+        cells = [record.get(name) for name in header]
+        length = next((len(cell) for cell in cells if isinstance(cell, list)), None)
+        if length is None:
+            yield cells
+        else:
+            yield from zip(*(
+                range(1, length + 1) if name == "index" else cell if isinstance(cell, list) else repeat(cell)
+                for name, cell in zip(header, cells)
+            ))
+
+
+def _emit(args, payload: dict, header: list[str], rows: Iterable) -> None:
+    """Print the payload as JSON, or the header and rows as CSV (rows are only read for CSV)."""
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
@@ -150,35 +173,41 @@ def _emit(args, payload: dict, header: list[str], rows: list[list]) -> None:
         print(json.dumps(document, indent=2 if args.pretty else None))
 
 
+def _negation(descriptor, dist: Distribution, input_entropy: float) -> dict:
+    """The output of one negation and the entropy it moved."""
+    negated = apply_transformation(descriptor, dist)
+    output_entropy = entropy(negated)
+    return {
+        "output": list(negated.values),
+        "input_entropy": input_entropy,
+        "output_entropy": output_entropy,
+        "entropy_delta": output_entropy - input_entropy,
+    }
+
+
+def _check_size(flag: str, value: int) -> None:
+    if value > MAX_COMPONENT_EVALUATIONS:
+        raise ArgumentError(f"{flag} {value} exceeds the {MAX_COMPONENT_EVALUATIONS} cap")
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 def cmd_negate(args) -> int:
-    results = []
-    rows = []
-    for label, dist in _validated(_read_input(args.input)):
-        descriptor = parse_descriptor(args.negator, n=len(dist))
-        negated = apply_transformation(descriptor, dist)
-        before, after = entropy(dist), entropy(negated)
-        results.append({
-            "label": label,
-            "n": len(dist),
-            "input": list(dist.values),
-            "output": list(negated.values),
-            "input_entropy": before,
-            "output_entropy": after,
-            "entropy_delta": after - before,
-        })
-        for index, (p, q) in enumerate(zip(dist.values, negated.values), start=1):
-            rows.append([label, index, p, q, before, after, after - before])
-    payload = {"command": "negate", "results": results}
+    results = [
+        {"label": label, "n": len(dist), "input": list(dist.values),
+         **_negation(parse_descriptor(args.negator, n=len(dist)), dist, entropy(dist))}
+        for label, dist in _validated(_read_input(args.input))
+    ]
     header = ["label", "index", "input", "output", "input_entropy", "output_entropy", "entropy_delta"]
-    _emit(args, payload, header, rows)
+    _emit(args, {"command": "negate", "results": results}, header, _unrolled(header, results))
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
+    _check_size("--n", args.n)
+    _check_size("--grid", args.grid)
     tolerance = args.tol if args.tol is not None else DEFAULT_TOLERANCE
     descriptor = parse_descriptor(args.negator, n=args.n)
     entries = []
@@ -221,91 +250,71 @@ def cmd_check(args) -> int:
         "checks": entries,
         "linearity": None if verdict is None else verdict.to_dict(),
     }
+
+    def rows():
+        for entry in entries:
+            if entry["skipped"]:
+                yield [entry["check_name"], True, None, entry["reason"], None, None, None, None]
+            else:
+                magnitudes = [violation["magnitude"] for violation in entry["violations"]]
+                yield [
+                    entry["check_name"], False, entry["passed"], None,
+                    entry["grid_size"], entry["tolerance"], len(magnitudes),
+                    max(magnitudes) if magnitudes else 0.0,
+                ]
+        if verdict is not None:
+            yield ["linearity", False, verdict.is_linear, None, args.grid, tolerance, None, verdict.max_residual]
+
     header = ["check_name", "skipped", "passed", "reason", "grid_size", "tolerance", "violations", "max_magnitude"]
-    rows = []
-    for entry in entries:
-        if entry["skipped"]:
-            rows.append([entry["check_name"], True, None, entry["reason"], None, None, None, None])
-        else:
-            magnitudes = [violation["magnitude"] for violation in entry["violations"]]
-            rows.append([
-                entry["check_name"], False, entry["passed"], None,
-                entry["grid_size"], entry["tolerance"], len(magnitudes),
-                max(magnitudes) if magnitudes else 0.0,
-            ])
-    if verdict is not None:
-        rows.append(["linearity", False, verdict.is_linear, None, args.grid, tolerance,
-                     None, verdict.max_residual])
-    _emit(args, payload, header, rows)
+    _emit(args, payload, header, rows())
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def cmd_iterate(args) -> int:
     results = []
-    rows = []
     for label, dist in _validated(_read_input(args.input)):
-        descriptor = parse_descriptor(args.negator, n=len(dist))
-        trace = iterate_negation(descriptor, dist, args.steps)
-        steps = []
-        for step, (d, distance, h) in enumerate(
-            zip(trace.steps, trace.distances_to_uniform, trace.entropies)
-        ):
-            steps.append({
-                "step": step,
-                "values": list(d.values),
-                "distance_to_uniform": distance,
-                "entropy": h,
-            })
-            for index, value in enumerate(d.values, start=1):
-                rows.append([label, step, index, value, distance, h])
+        trace = iterate_negation(parse_descriptor(args.negator, n=len(dist)), dist, args.steps)
+        steps = [
+            {"step": step, "values": list(d.values), "distance_to_uniform": distance, "entropy": h}
+            for step, (d, distance, h) in enumerate(zip(trace.steps, trace.distances_to_uniform, trace.entropies))
+        ]
         results.append({"label": label, "n": len(dist), "trace": steps})
-    payload = {"command": "iterate", "results": results}
     header = ["label", "step", "index", "value", "distance_to_uniform", "entropy"]
-    _emit(args, payload, header, rows)
+    step_records = ({"label": result["label"], "value": step["values"], **step}
+                    for result in results for step in result["trace"])
+    _emit(args, {"command": "iterate", "results": results}, header, _unrolled(header, step_records))
     return EXIT_OK
 
 
 def cmd_sweep_alpha(args) -> int:
     if args.alphas < 2:
         raise ArgumentError(f"--alphas must be at least 2, got {args.alphas}")
+    _check_size("--alphas", args.alphas)
     distributions = _validated(_read_input(args.input))
     if args.n is not None:
         for label, dist in distributions:
             if len(dist) != args.n:
                 raise LengthMismatch(f"distribution {label!r} has length {len(dist)}, expected --n {args.n}")
+    input_entropies = [entropy(dist) for _, dist in distributions]
     alphas = [i / (args.alphas - 1) for i in range(args.alphas)]
-    results = []
-    rows = []
-    for alpha in alphas:
-        descriptor = linear_from_alpha(alpha)
-        for label, dist in distributions:
-            negated = apply_transformation(descriptor, dist)
-            before, after = entropy(dist), entropy(negated)
-            results.append({
-                "alpha": alpha,
-                "label": label,
-                "output": list(negated.values),
-                "input_entropy": before,
-                "output_entropy": after,
-                "entropy_delta": after - before,
-            })
-            for index, value in enumerate(negated.values, start=1):
-                rows.append([alpha, label, index, value, before, after, after - before])
-    payload = {"command": "sweep-alpha", "alphas": alphas, "results": results}
+    results = [
+        {"alpha": alpha, "label": label, **_negation(descriptor, dist, h)}
+        for alpha, descriptor in zip(alphas, map(linear_from_alpha, alphas))
+        for (label, dist), h in zip(distributions, input_entropies)
+    ]
     header = ["alpha", "label", "index", "output", "input_entropy", "output_entropy", "entropy_delta"]
-    _emit(args, payload, header, rows)
+    payload = {"command": "sweep-alpha", "alphas": alphas, "results": results}
+    _emit(args, payload, header, _unrolled(header, results))
     return EXIT_OK
 
 
 def cmd_entropy(args) -> int:
-    results = []
-    rows = []
-    for label, dist in _validated(_read_input(args.input)):
-        h = entropy(dist)
-        results.append({"label": label, "n": len(dist), "entropy": h})
-        rows.append([label, len(dist), h])
-    payload = {"command": "entropy", "results": results}
-    _emit(args, payload, ["label", "n", "entropy"], rows)
+    results = [
+        {"label": label, "n": len(dist), "entropy": entropy(dist)}
+        for label, dist in _validated(_read_input(args.input))
+    ]
+    header = ["label", "n", "entropy"]
+    _emit(args, {"command": "entropy", "results": results}, header, _unrolled(header, results))
     return EXIT_OK
 
 

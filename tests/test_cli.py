@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import EXAMPLE_PD
+from pdneg import entropy
 from pdneg.cli import main
 
 EXAMPLE_LINE = " ".join(str(v) for v in EXAMPLE_PD)
@@ -250,6 +251,19 @@ class TestSweepAlpha:
             entropies = [h for _, h in series]
             assert all(a <= b + 1e-12 for a, b in zip(entropies, entropies[1:]))
 
+    def test_input_entropy_is_computed_once_per_distribution(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(dist):
+            calls.append(dist)
+            return entropy(dist)
+
+        monkeypatch.setattr("pdneg.cli.entropy", counted)
+        path = write_input(tmp_path, EXAMPLE_LINE + "\n0.8 0.1 0.1\n")
+        code, _, _ = run(capsys, "sweep-alpha", "--alphas", "3", "--input", path)
+        assert code == 0
+        assert len(calls) == 2 + 3 * 2
+
     def test_length_flag_validates_inputs(self, capsys, tmp_path):
         path = write_input(tmp_path, EXAMPLE_LINE)
         code, _, err = run(capsys, "sweep-alpha", "--alphas", "3", "--n", "4", "--input", path)
@@ -291,6 +305,23 @@ class TestEntropyCommand:
         assert float(row["entropy"]) == json.loads(json_out)["results"][0]["entropy"]
 
 
+class TestSizeCaps:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "yager", "--n", str(10**12)],
+            ["check", "yager", "--n", "5", "--grid", str(10**12)],
+            ["sweep-alpha", "--alphas", str(10**12)],
+        ],
+    )
+    def test_size_flags_beyond_the_cap_exit_2_before_allocating(self, capsys, tmp_path, argv):
+        path = write_input(tmp_path, EXAMPLE_LINE)
+        code, out, err = run(capsys, *argv, "--input", path)
+        assert code == 2
+        assert out == ""
+        assert "exceeds the 1000000 cap" in err
+
+
 class TestInputDocument:
     @pytest.mark.parametrize(
         "distributions,named",
@@ -312,6 +343,15 @@ class TestInputDocument:
         assert code == 2
         assert out == ""
         assert named in err
+        assert "Traceback" not in err
+
+    def test_deeply_nested_document_exits_2(self, capsys, tmp_path):
+        depth = 100_000
+        path = write_input(tmp_path, '{"distributions": ' + "[" * depth + "]" * depth + "}", "input.json")
+        code, out, err = run(capsys, "entropy", "--input", path)
+        assert code == 2
+        assert out == ""
+        assert "nests too deeply" in err
         assert "Traceback" not in err
 
     def test_integer_values_are_numbers(self, capsys, tmp_path):
