@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import EXAMPLE_PD
-from pdneg import entropy
+from pdneg import entropy, errors
 from pdneg.cli import main
 
 EXAMPLE_LINE = " ".join(str(v) for v in EXAMPLE_PD)
@@ -359,6 +359,27 @@ class TestInputDocument:
         code, out, _ = run(capsys, "entropy", "--input", path)
         assert code == 0
         assert json.loads(out)["results"][0]["entropy"] == 0.0
+
+
+# Every error class the package raises; the bare base class is never raised.
+RAISED_ERRORS = [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.NegationError) and cls is not errors.NegationError
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error", RAISED_ERRORS, ids=[cls.__name__ for cls in RAISED_ERRORS])
+    def test_exit_code_follows_the_error_hierarchy(self, capsys, tmp_path, monkeypatch, error):
+        def fail(dist):
+            raise error("injected")
+
+        monkeypatch.setattr("pdneg.cli.entropy", fail)
+        code, out, err = run(capsys, "entropy", "--input", write_input(tmp_path, EXAMPLE_LINE))
+        usage = issubclass(error, ValueError) or error is errors.ComponentIndexError
+        assert code == (2 if usage else 3)
+        assert out == ""
+        assert err == "pdneg: injected\n"
 
 
 class TestModuleEntryPoints:

@@ -38,6 +38,8 @@ COMMANDS = [
     ("entropy", ["entropy"], 0),
     ("check-yager", ["check", "yager", "--n", "5"], 0),
     ("check-tsallis", ["check", "tsallis:k=2", "--n", "5"], 1),
+    ("check-identity", ["check", "identity", "--n", "5"], 0),
+    ("check-mix", ["check", "mix:[0.3*linear:alpha=0.2,0.7*yager]", "--n", "5"], 0),
 ]
 FORMATS = [
     ("json", []),
