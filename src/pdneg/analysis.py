@@ -136,6 +136,7 @@ def _report(name, violations, grid_size, tolerance, seed=None, notes=()):
 
 
 def _grid(grid_size: int) -> list[float]:
+    # The ends are exactly 0.0 and 1.0, so a sweep's first and last images are N(0) and N(1).
     if grid_size < 2:
         raise ArgumentError(f"grid_size must be at least 2, got {grid_size}")
     last = grid_size - 1
@@ -228,13 +229,17 @@ def fixed_point_check(
     return _report("fixed-point", violations, grid_size, tolerance, notes=notes)
 
 
-def _balance_residuals(descriptor: NegatorDescriptor, n: int, ps: list[float]) -> list[float]:
+def _require_claims(descriptor: NegatorDescriptor, n: int, *, negator: bool = False) -> None:
     if not descriptor.claims_pd_independent:
-        raise IndependenceRequired(
-            f"{descriptor.spec_string()} does not claim pd-independence"
-        )
+        raise IndependenceRequired(f"{descriptor.spec_string()} does not claim pd-independence")
+    if negator and not descriptor.claims_negator:
+        raise NegatorRequired(f"{descriptor.spec_string()} does not claim to be a negator")
     if n < 2:
         raise LengthError(f"need n >= 2, got {n}")
+
+
+def _balance_residuals(descriptor: NegatorDescriptor, n: int, ps: list[float]) -> list[float]:
+    _require_claims(descriptor, n)
     at_q = descriptor.images([(1.0 - p) / (n - 1) for p in ps], n)
     return [abs(lhs - (1.0 - at_p) / (n - 1)) for lhs, at_p in zip(at_q, descriptor.images(ps, n))]
 
@@ -285,17 +290,13 @@ def boundary_range_check(
     by N(0) = (1 - N(1))/(n - 1), and on a grid N(p) stays in [0, 1/n]
     for p >= 1/n and in [1/n, 1/(n-1)] for p <= 1/n.
     """
-    if not descriptor.claims_pd_independent:
-        raise IndependenceRequired(f"{descriptor.spec_string()} does not claim pd-independence")
-    if not descriptor.claims_negator:
-        raise NegatorRequired(f"{descriptor.spec_string()} does not claim to be a negator")
-    if n < 2:
-        raise LengthError(f"need n >= 2, got {n}")
+    _require_claims(descriptor, n, negator=True)
     u = 1.0 / n
     high = 1.0 / (n - 1)
     violations = []
-    at_one = evaluate(descriptor, 1.0, n=n)
-    at_zero = evaluate(descriptor, 0.0, n=n)
+    grid = _grid(grid_size)
+    images = descriptor.images(grid, n)
+    at_zero, at_one = images[0], images[-1]
     for candidate in (
         _interval_violation(1.0, at_one, 0.0, u, tolerance),
         _interval_violation(0.0, at_zero, u, high, tolerance),
@@ -305,8 +306,7 @@ def boundary_range_check(
     tied = (1.0 - at_one) / (n - 1)
     if abs(at_zero - tied) > tolerance:
         violations.append(Violation(0.0, expected=tied, actual=at_zero, magnitude=abs(at_zero - tied)))
-    grid = _grid(grid_size)
-    for p, value in zip(grid, descriptor.images(grid, n)):
+    for p, value in zip(grid, images):
         if p >= u:
             candidate = _interval_violation(p, value, 0.0, u, tolerance)
             if candidate is not None:
@@ -330,21 +330,17 @@ def linearity_test(
     giving alpha = n N(1); the verdict reports the worst grid residual
     against alpha/n + (1 - alpha)(1 - p)/(n - 1).
     """
-    if not descriptor.claims_pd_independent:
-        raise IndependenceRequired(f"{descriptor.spec_string()} does not claim pd-independence")
-    if not descriptor.claims_negator:
-        raise NegatorRequired(f"{descriptor.spec_string()} does not claim to be a negator")
-    if n < 2:
-        raise LengthError(f"need n >= 2, got {n}")
+    _require_claims(descriptor, n, negator=True)
     if grid_size < 3:
         raise ArgumentError(f"grid_size must be at least 3, got {grid_size}")
-    raw = n * evaluate(descriptor, 1.0, n=n)
+    grid = _grid(grid_size)
+    images = descriptor.images(grid, n)
+    raw = n * images[-1]
     alpha = min(max(raw, 0.0), 1.0)
     if abs(alpha - raw) > tolerance:
         return LinearityVerdict(is_linear=False, alpha_estimate=None, max_residual=math.inf)
     max_residual = 0.0
-    grid = _grid(grid_size)
-    for p, value in zip(grid, descriptor.images(grid, n)):
+    for p, value in zip(grid, images):
         line = alpha / n + (1.0 - alpha) * (1.0 - p) / (n - 1)
         max_residual = max(max_residual, abs(value - line))
     return LinearityVerdict(

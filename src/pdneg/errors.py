@@ -3,7 +3,9 @@
 Every error raised by the package derives from :class:`NegationError`, so
 callers can catch a single type.  Errors that correspond to malformed input
 additionally derive from ``ValueError`` (and the out-of-range index error
-from ``IndexError``) to stay idiomatic.
+from ``IndexError``) to stay idiomatic.  The command line exits 2 on an error
+derived from ``ValueError`` (or on ``ComponentIndexError``) and 3 on every
+other :class:`NegationError`.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from pdneg import (
     Generator,
     IDENTITY,
     IndependenceRequired,
+    LengthError,
     LengthMismatch,
     Linear,
     NegatorRequired,
@@ -216,6 +217,40 @@ class TestLinearity:
             linearity_test(IDENTITY, 5)
         with pytest.raises(ArgumentError):
             linearity_test(YAGER, 5, grid_size=2)
+
+
+class TestPointwiseCheckPreconditions:
+    # Independence is refused first, then a non-negator, then the length.
+    @pytest.mark.parametrize(
+        "descriptor,refusal",
+        [(Tsallis(2.0), IndependenceRequired), (IDENTITY, NegatorRequired), (YAGER, LengthError)],
+    )
+    @pytest.mark.parametrize("check", [boundary_range_check, linearity_test])
+    def test_refusal_order(self, check, descriptor, refusal):
+        with pytest.raises(refusal):
+            check(descriptor, 1, grid_size=2)
+
+    @pytest.mark.parametrize("descriptor,refusal", [(Tsallis(2.0), IndependenceRequired), (IDENTITY, LengthError)])
+    def test_balance_identity_refuses_dependence_before_the_length(self, descriptor, refusal):
+        with pytest.raises(refusal):
+            functional_equation_residual(descriptor, 1, 0.5)
+
+    @pytest.mark.parametrize("check", [boundary_range_check, linearity_test])
+    def test_one_kernel_call_over_the_grid_and_no_pointwise_evaluation(self, check, monkeypatch):
+        calls = []
+        kernel = type(YAGER).images
+
+        def counted(self, values, n, context=None):
+            calls.append(len(values))
+            return kernel(self, values, n, context)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate called")
+
+        monkeypatch.setattr(type(YAGER), "images", counted)
+        monkeypatch.setattr("pdneg.analysis.evaluate", refuse)
+        check(YAGER, 5, grid_size=101)
+        assert calls == [101]
 
 
 class TestIndependenceProbe:

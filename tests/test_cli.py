@@ -180,6 +180,33 @@ class TestCheck:
         assert skipped == {"boundary-range", "linearity"}
 
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1"])
+    def test_tolerance_must_be_finite_and_non_negative(self, capsys, tolerance):
+        code, out, err = run(capsys, "check", "tsallis:k=2", "--n", "5", f"--tol={tolerance}")
+        assert code == 2
+        assert out == ""
+        assert "--tol must be a finite number >= 0" in err
+
+    def test_zero_tolerance_runs_the_checks(self, capsys):
+        code, out, _ = run(capsys, "check", "yager", "--n", "5", "--tol", "0")
+        assert code == 0
+        assert json.loads(out)["checks"][0]["tolerance"] == 0.0
+
+    @pytest.mark.parametrize("grid", ["1", "-5"])
+    @pytest.mark.parametrize("negator", ["tsallis:k=2", "rootsum", "identity"])
+    def test_grid_below_two_exits_2_for_every_descriptor(self, capsys, negator, grid):
+        code, out, err = run(capsys, "check", negator, "--n", "5", f"--grid={grid}")
+        assert code == 2
+        assert out == ""
+        assert "--grid must be at least 2" in err
+
+    def test_linearity_needs_a_grid_of_three(self, capsys):
+        code, out, err = run(capsys, "check", "yager", "--n", "5", "--grid", "2")
+        assert code == 2
+        assert out == ""
+        assert "grid_size must be at least 3" in err
+
+
 class TestIterate:
     def test_yager_trace(self, capsys, tmp_path):
         path = write_input(tmp_path, "1 0 0")
