@@ -28,7 +28,16 @@ DOCUMENT = json.dumps({"distributions": [
     {"label": "point", "values": [0.0, 1.0, 0.0]},
 ]})
 
-# (name, argv, exit code)
+# Labels CSV has to quote (a comma, a quote, a line break) and one with a
+# leading space and non-ASCII text.
+QUOTED_DOCUMENT = json.dumps({"distributions": [
+    {"label": "a,b", "values": [0.5, 0.3, 0.2]},
+    {"label": 'q"uote', "values": [0.1, 0.2, 0.3, 0.4]},
+    {"label": "line\nbreak", "values": [1.0, 0.0]},
+    {"label": " lead \u00e9", "values": [0.25, 0.25, 0.5]},
+]})
+
+# (name, argv, exit code), run on DOCUMENT
 COMMANDS = [
     ("negate-yager", ["negate", "yager"], 0),
     ("negate-tsallis", ["negate", "tsallis:k=2"], 0),
@@ -41,6 +50,11 @@ COMMANDS = [
     ("check-identity", ["check", "identity", "--n", "5"], 0),
     ("check-mix", ["check", "mix:[0.3*linear:alpha=0.2,0.7*yager]", "--n", "5"], 0),
 ]
+# (name, argv, exit code), run on QUOTED_DOCUMENT
+QUOTED_COMMANDS = [
+    ("negate-yager-quoted", ["negate", "yager"], 0),
+    ("iterate-yager-quoted", ["iterate", "yager", "--steps", "2"], 0),
+]
 FORMATS = [
     ("json", []),
     ("pretty.json", ["--pretty"]),
@@ -48,16 +62,17 @@ FORMATS = [
     ("pretty.csv", ["--format", "csv", "--pretty"]),
 ]
 CASES = [
-    (f"{name}.{suffix}", argv + flags, code)
-    for name, argv, code in COMMANDS
+    (f"{name}.{suffix}", argv + flags, code, document)
+    for document, commands in ((DOCUMENT, COMMANDS), (QUOTED_DOCUMENT, QUOTED_COMMANDS))
+    for name, argv, code in commands
     for suffix, flags in FORMATS
 ]
 
 
-def run(argv: list[str]) -> tuple[int, str, str]:
+def run(argv: list[str], document: str) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
-    sys.stdin = io.StringIO(DOCUMENT)
+    sys.stdin = io.StringIO(document)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -66,13 +81,13 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("filename,argv,expected_code", CASES, ids=[case[0] for case in CASES])
-def test_output_bytes_match_the_recording(filename, argv, expected_code):
-    code, out, err = run(argv)
+@pytest.mark.parametrize("filename,argv,expected_code,document", CASES, ids=[case[0] for case in CASES])
+def test_output_bytes_match_the_recording(filename, argv, expected_code, document):
+    code, out, err = run(argv, document)
     assert (code, err) == (expected_code, "")
     assert out == (GOLDEN / filename).read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
-    for filename, argv, _ in CASES:
-        (GOLDEN / filename).write_text(run(argv)[1], encoding="utf-8")
+    for filename, argv, _, document in CASES:
+        (GOLDEN / filename).write_text(run(argv, document)[1], encoding="utf-8")
