@@ -9,7 +9,9 @@ or as bare text, one whitespace/comma-separated distribution per line with
 labels auto-generated as pd1, pd2, ...  Reports go to stdout as JSON or CSV
 with full-precision numbers (--pretty rounds to 6 significant digits).  CSV
 columns are the JSON record fields, with per-component lists unrolled one row
-per component and numbered by `index`; check writes one row per check.
+per component and numbered by `index`; a per-record scalar is formatted once
+and repeated on each of its rows.  check writes one row per check.  negate and
+iterate parse the descriptor once per distinct distribution length.
 check's --tol must be finite and >= 0, its --grid at least 2.
 
 Exit status: 0 success, 1 a check failed (report still emitted), 2 usage,
@@ -24,7 +26,8 @@ import csv
 import json
 import math
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from functools import cache
 from itertools import repeat
 from pathlib import Path
 
@@ -135,36 +138,45 @@ def _rounded(node):
     return node
 
 
-def _cell(value, pretty: bool) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return f"{value:.6g}" if pretty else f"{value:.17g}"
-    return "" if value is None else str(value)
+def _cell_formatter(pretty: bool) -> Callable[[object], str]:
+    """The CSV text of one value: a float to 17 significant digits (6 with
+    --pretty), a bool as true/false, None as empty, anything else as str."""
+
+    def cell(value) -> str:
+        if isinstance(value, float):
+            return f"{value:.6g}" if pretty else f"{value:.17g}"
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return "" if value is None else str(value)
+
+    return cell
 
 
-def _unrolled(header: list[str], records: Iterable[dict]) -> Iterator[tuple | list]:
+def _unrolled(header: list[str], records: Iterable[dict], cell: Callable[[object], str]) -> Iterator[Iterable[str]]:
     """CSV rows of report records: the columns are record fields, and a record
-    with per-component lists gives one row per component, numbered by `index`."""
+    with per-component lists gives one row per component, numbered by `index`.
+    Each field is formatted once, so a scalar is repeated as text down its rows."""
     for record in records:
-        cells = [record.get(name) for name in header]
-        length = next((len(cell) for cell in cells if isinstance(cell, list)), None)
+        fields = [record.get(name) for name in header]
+        length = next((len(field) for field in fields if isinstance(field, list)), None)
         if length is None:
-            yield cells
+            yield map(cell, fields)
         else:
             yield from zip(*(
-                range(1, length + 1) if name == "index" else cell if isinstance(cell, list) else repeat(cell)
-                for name, cell in zip(header, cells)
+                map(str, range(1, length + 1)) if name == "index"
+                else map(cell, field) if isinstance(field, list)
+                else repeat(cell(field))
+                for name, field in zip(header, fields)
             ))
 
 
-def _emit(args, payload: dict, header: list[str], rows: Iterable) -> None:
-    """Print the payload as JSON, or the header and rows as CSV (rows are only read for CSV)."""
+def _emit(args, payload: dict, header: list[str], records: Iterable[dict]) -> None:
+    """Print the payload as JSON, or the records as CSV rows under the header
+    (records are only read for CSV)."""
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(value, args.pretty) for value in row])
+        writer.writerows(_unrolled(header, records, _cell_formatter(args.pretty)))
     else:
         document = _rounded(payload) if args.pretty else payload
         print(json.dumps(document, indent=2 if args.pretty else None))
@@ -194,13 +206,14 @@ def _check_size(flag: str, value: int, *, at_least: int | None = None) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_negate(args) -> int:
+    descriptor = cache(lambda n: parse_descriptor(args.negator, n=n))  # parsed once per distinct length
     results = [
         {"label": label, "n": len(dist), "input": list(dist.values),
-         **_negation(parse_descriptor(args.negator, n=len(dist)), dist, entropy(dist))}
+         **_negation(descriptor(len(dist)), dist, entropy(dist))}
         for label, dist in _validated(_read_input(args.input))
     ]
     header = ["label", "index", "input", "output", "input_entropy", "output_entropy", "entropy_delta"]
-    _emit(args, {"command": "negate", "results": results}, header, _unrolled(header, results))
+    _emit(args, {"command": "negate", "results": results}, header, results)
     return EXIT_OK
 
 
@@ -240,29 +253,27 @@ def cmd_check(args) -> int:
         "linearity": None if verdict is None else verdict.to_dict(),
     }
 
-    def rows():
+    def records():
         for entry in entries:
             if entry["skipped"]:
-                yield [entry["check_name"], True, None, entry["reason"], None, None, None, None]
+                yield entry
             else:
                 magnitudes = [violation["magnitude"] for violation in entry["violations"]]
-                yield [
-                    entry["check_name"], False, entry["passed"], None,
-                    entry["grid_size"], entry["tolerance"], len(magnitudes),
-                    max(magnitudes) if magnitudes else 0.0,
-                ]
+                yield {**entry, "violations": len(magnitudes), "max_magnitude": max(magnitudes, default=0.0)}
         if verdict is not None:
-            yield ["linearity", False, verdict.is_linear, None, args.grid, args.tol, None, verdict.max_residual]
+            yield {"check_name": "linearity", "skipped": False, "passed": verdict.is_linear,
+                   "grid_size": args.grid, "tolerance": args.tol, "max_magnitude": verdict.max_residual}
 
     header = ["check_name", "skipped", "passed", "reason", "grid_size", "tolerance", "violations", "max_magnitude"]
-    _emit(args, payload, header, rows())
+    _emit(args, payload, header, records())
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def cmd_iterate(args) -> int:
+    descriptor = cache(lambda n: parse_descriptor(args.negator, n=n))  # parsed once per distinct length
     results = []
     for label, dist in _validated(_read_input(args.input)):
-        trace = iterate_negation(parse_descriptor(args.negator, n=len(dist)), dist, args.steps)
+        trace = iterate_negation(descriptor(len(dist)), dist, args.steps)
         steps = [
             {"step": step, "values": list(d.values), "distance_to_uniform": distance, "entropy": h}
             for step, (d, distance, h) in enumerate(zip(trace.steps, trace.distances_to_uniform, trace.entropies))
@@ -271,7 +282,7 @@ def cmd_iterate(args) -> int:
     header = ["label", "step", "index", "value", "distance_to_uniform", "entropy"]
     step_records = ({"label": result["label"], "value": step["values"], **step}
                     for result in results for step in result["trace"])
-    _emit(args, {"command": "iterate", "results": results}, header, _unrolled(header, step_records))
+    _emit(args, {"command": "iterate", "results": results}, header, step_records)
     return EXIT_OK
 
 
@@ -291,7 +302,7 @@ def cmd_sweep_alpha(args) -> int:
     ]
     header = ["alpha", "label", "index", "output", "input_entropy", "output_entropy", "entropy_delta"]
     payload = {"command": "sweep-alpha", "alphas": alphas, "results": results}
-    _emit(args, payload, header, _unrolled(header, results))
+    _emit(args, payload, header, results)
     return EXIT_OK
 
 
@@ -301,7 +312,7 @@ def cmd_entropy(args) -> int:
         for label, dist in _validated(_read_input(args.input))
     ]
     header = ["label", "n", "entropy"]
-    _emit(args, {"command": "entropy", "results": results}, header, _unrolled(header, results))
+    _emit(args, {"command": "entropy", "results": results}, header, results)
     return EXIT_OK
 
 

@@ -243,6 +243,42 @@ class TestIterate:
             assert float(row["distance_to_uniform"]) == step["distance_to_uniform"]
 
 
+class TestDescriptorPerLength:
+    MIXED_LENGTHS = "0.2 0.2 0.2 0.2 0.2\n0.5 0.3 0.2\n0.1 0.2 0.3 0.4 0.0\n0.1 0.1 0.8\n0.4 0.3 0.2 0.1\n"
+
+    @pytest.mark.parametrize("argv", [["negate", "yager"], ["iterate", "yager", "--steps", "1"]])
+    def test_descriptor_is_parsed_once_per_distinct_length(self, capsys, tmp_path, monkeypatch, argv):
+        from pdneg.negators import parse_descriptor
+
+        lengths = []
+
+        def counted(spec, n=None):
+            lengths.append(n)
+            return parse_descriptor(spec, n=n)
+
+        monkeypatch.setattr("pdneg.cli.parse_descriptor", counted)
+        path = write_input(tmp_path, self.MIXED_LENGTHS)
+        code, _, _ = run(capsys, *argv, "--input", path)
+        assert code == 0
+        assert lengths == [5, 3, 4]
+
+    @pytest.mark.parametrize("argv", [["negate", "linear:n1=0.1"], ["iterate", "linear:n1=0.1", "--steps", "2"]])
+    def test_boundary_form_resolves_against_each_length(self, capsys, tmp_path, argv):
+        path = write_input(tmp_path, self.MIXED_LENGTHS)
+        _, out, _ = run(capsys, *argv, "--input", path)
+        together = json.loads(out)["results"]
+        for line, result in zip(self.MIXED_LENGTHS.splitlines(), together):
+            _, alone, _ = run(capsys, *argv, "--input", write_input(tmp_path, line, "alone.txt"))
+            assert {**json.loads(alone)["results"][0], "label": result["label"]} == result
+
+    def test_first_length_the_boundary_form_rejects_exits_2(self, capsys, tmp_path):
+        # N(1) = 0.3 is admissible for n = 3 only: the length-4 line is the first to fail.
+        path = write_input(tmp_path, "0.5 0.3 0.2\n0.1 0.1 0.8\n0.4 0.3 0.2 0.1\n0.2 0.2 0.2 0.2 0.2\n")
+        code, out, err = run(capsys, "negate", "linear:n1=0.3", "--input", path)
+        assert (code, out) == (2, "")
+        assert err == "pdneg: N(1) = 0.3 outside the admissible interval [0, 1/4] = [0.0, 0.25]\n"
+
+
 class TestSweepAlpha:
     def test_three_alphas_reproduce_the_example_family(self, capsys, tmp_path):
         path = write_input(tmp_path, EXAMPLE_LINE)
