@@ -9,18 +9,16 @@ stdout, and a CSV report parses into rows as wide as its header.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import simplexes
-from pdneg.cli import main
+from test_cli_golden import run
 
 COMMANDS = [
     ["negate", "yager"],
@@ -80,18 +78,6 @@ documents = st.one_of(
         {"label": label, "values": list(dist.values)} for label, dist in pairs]})),
     labelled.map(lambda pairs: "\n".join(" ".join(map(repr, dist.values)) for _, dist in pairs)),
 )
-
-
-def run(argv: list[str], document: str) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    stdin = sys.stdin
-    sys.stdin = io.StringIO(document)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    finally:
-        sys.stdin = stdin
-    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=300, deadline=None)
