@@ -24,7 +24,7 @@ from .errors import (
     LengthMismatch,
     NegatorRequired,
 )
-from .negators import NegatorDescriptor, _coerce_probability, apply_transformation, evaluate
+from .negators import YAGER, Linear, NegatorDescriptor, _coerce_probability, apply_transformation, evaluate
 
 #: Grid resolution used by default for all sweeps over [0, 1].
 DEFAULT_GRID_SIZE = 1001
@@ -199,12 +199,10 @@ def fixed_point_check(
     elsewhere N(p) - p has the correct sign (positive below 1/n, negative
     above).
     """
-    if n < 2:
-        raise LengthError(f"need n >= 2, got {n}")
+    image = apply_transformation(descriptor, uniform_distribution(n))
     violations = []
     notes = []
     u = 1.0 / n
-    image = apply_transformation(descriptor, uniform_distribution(n))
     for index, value in enumerate(image.values):
         if abs(value - u) > tolerance:
             violations.append(Violation(index + 1, expected=u, actual=value, magnitude=abs(value - u)))
@@ -240,8 +238,8 @@ def _require_claims(descriptor: NegatorDescriptor, n: int, *, negator: bool = Fa
 
 def _balance_residuals(descriptor: NegatorDescriptor, n: int, ps: list[float]) -> list[float]:
     _require_claims(descriptor, n)
-    at_q = descriptor.images([(1.0 - p) / (n - 1) for p in ps], n)
-    return [abs(lhs - (1.0 - at_p) / (n - 1)) for lhs, at_p in zip(at_q, descriptor.images(ps, n))]
+    lhs = descriptor.images(YAGER.images(ps, n), n)
+    return [abs(a - b) for a, b in zip(lhs, YAGER.images(descriptor.images(ps, n), n))]
 
 
 def functional_equation_residual(descriptor: NegatorDescriptor, n: int, p: float) -> float:
@@ -297,12 +295,6 @@ def boundary_range_check(
     grid = _grid(grid_size)
     images = descriptor.images(grid, n)
     at_zero, at_one = images[0], images[-1]
-    for candidate in (
-        _interval_violation(1.0, at_one, 0.0, u, tolerance),
-        _interval_violation(0.0, at_zero, u, high, tolerance),
-    ):
-        if candidate is not None:
-            violations.append(candidate)
     tied = (1.0 - at_one) / (n - 1)
     if abs(at_zero - tied) > tolerance:
         violations.append(Violation(0.0, expected=tied, actual=at_zero, magnitude=abs(at_zero - tied)))
@@ -340,9 +332,8 @@ def linearity_test(
     if abs(alpha - raw) > tolerance:
         return LinearityVerdict(is_linear=False, alpha_estimate=None, max_residual=math.inf)
     max_residual = 0.0
-    for p, value in zip(grid, images):
-        line = alpha / n + (1.0 - alpha) * (1.0 - p) / (n - 1)
-        max_residual = max(max_residual, abs(value - line))
+    for value, on_line in zip(images, Linear(alpha).images(grid, n)):
+        max_residual = max(max_residual, abs(value - on_line))
     return LinearityVerdict(
         is_linear=max_residual <= tolerance,
         alpha_estimate=alpha,

@@ -242,10 +242,9 @@ class Generator(_Normalised):
     def _without_context(self, values, n):
         if not (self.claims_pd_independent and n is not None):
             return super()._without_context(values, n)
-        n = _require_length(self, n)
         out = []
-        for p in values:
-            fp, fq = self.numerators((p, (1.0 - p) / (n - 1)))
+        for p, q in zip(values, YAGER.images(values, n)):
+            fp, fq = self.numerators((p, q))
             out.extend(self._normalise([fp], [fp] + [fq] * (n - 1)))
         return out
 
