@@ -243,12 +243,12 @@ def _balance_residuals(descriptor: NegatorDescriptor, n: int, ps: list[float]) -
 
 
 def functional_equation_residual(descriptor: NegatorDescriptor, n: int, p: float) -> float:
-    """Residual of the balance identity tying N at p to N at (1-p)/(n-1).
+    """Residual of the balance identity N(Y(p)) = Y(N(p)), Y Yager's negator.
 
     For any pd-independent transformation function the two-value
-    distribution (p, q, ..., q) forces N(q) = (1 - N(p))/(n - 1) with
-    q = (1 - p)/(n - 1); the returned value is |lhs - rhs|, zero in exact
-    arithmetic.
+    distribution (p, q, ..., q) with q = Y(p) = (1 - p)/(n - 1) forces
+    N(q) = (1 - N(p))/(n - 1), i.e. N commutes with Y at length n; the
+    returned value is |N(Y(p)) - Y(N(p))|, zero in exact arithmetic.
     """
     return _balance_residuals(descriptor, n, [_coerce_probability(p)])[0]
 
@@ -284,9 +284,11 @@ def boundary_range_check(
 ) -> CheckReport:
     """Check the admissible value ranges of a pd-independent negator.
 
-    N(1) must lie in [0, 1/n], N(0) in [1/n, 1/(n-1)], the two must be tied
-    by N(0) = (1 - N(1))/(n - 1), and on a grid N(p) stays in [0, 1/n]
-    for p >= 1/n and in [1/n, 1/(n-1)] for p <= 1/n.
+    On a grid, N(p) must stay in [0, 1/n] for p >= 1/n and in
+    [1/n, 1/(n-1)] for p <= 1/n, and N(0) and N(1) must be tied by
+    N(0) = (1 - N(1))/(n - 1).  The grid's ends are exactly 0 and 1, so
+    N(1) in [0, 1/n] and N(0) in [1/n, 1/(n-1)] are checked once each, as
+    the sweep's first and last points.
     """
     _require_claims(descriptor, n, negator=True)
     u = 1.0 / n

@@ -6,7 +6,8 @@ from --input (default stdin) either as a JSON document
     {"distributions": [{"label": "pd1", "values": [0, 0.1, 0.2, 0.3, 0.4]}]}
 
 or as bare text, one whitespace/comma-separated distribution per line with
-labels auto-generated as pd1, pd2, ...  Reports go to stdout as JSON or CSV
+labels auto-generated as pd1, pd2, ...  JSON labels must be non-empty,
+unique strings that encode as UTF-8.  Reports go to stdout as JSON or CSV
 with full-precision numbers (--pretty rounds to 6 significant digits).  CSV
 columns are the JSON record fields, with per-component lists unrolled one row
 per component and numbered by `index`; a per-record scalar is formatted once
@@ -94,6 +95,10 @@ def _read_input(path: str | None) -> list[tuple[str, list[float]]]:
             values = entry.get("values")
             if not isinstance(label, str) or not label:
                 raise ValueError(f"distribution entry #{index} needs a non-empty string 'label'")
+            try:
+                label.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"distribution entry #{index}: label {label!r} is not valid Unicode") from None
             if not isinstance(values, list):
                 raise ValueError(f"distribution {label!r} needs a 'values' list")
             if not all(type(v) is float for v in values):

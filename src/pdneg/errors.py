@@ -58,8 +58,8 @@ class EmptyMixture(NegationError, ValueError):
 
 
 class GeneratorError(NegationError):
-    """A generator function violated its contract (negative value or
-    non-positive normaliser)."""
+    """A generator function violated its contract (a negative or non-finite
+    value, or a normaliser that is not positive or overflows)."""
 
 
 class ContextRequired(NegationError):

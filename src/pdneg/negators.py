@@ -22,7 +22,7 @@ This module provides an immutable descriptor algebra for such functions:
     N(p) = alpha/n + (1 - alpha)(1 - p)/(n - 1), the convex combination of
     the uniform and Yager negators; alpha in [0, 1].
 ``Generator(fn, label)``
-    N(p) = fn(p) / sum(fn(p_i)) for a non-negative fn with positive sum.
+    N(p) = fn(p) / sum(fn(p_i)) for a finite, non-negative fn with positive sum.
 ``Mixture(components)``
     Weighted sum of other descriptors, weights in [0, 1] summing to 1.
 
@@ -149,7 +149,10 @@ class _Normalised(NegatorDescriptor):
         return self._normalise(self.numerators(values), terms)
 
     def _normalise(self, numerators: list[float], terms: list[float]) -> list[float]:
-        total = math.fsum(terms)
+        try:
+            total = math.fsum(terms)
+        except OverflowError:
+            raise GeneratorError(f"{self.spec_string()} overflows when summed over the context") from None
         if total <= 0.0:
             raise GeneratorError(f"{self.spec_string()} sums to {total!r} over the context, expected > 0")
         return [x / total for x in numerators]
@@ -213,9 +216,10 @@ class Linear(_LinearFamily):
 class Generator(_Normalised):
     """Descriptor backed by a caller-supplied generator function.
 
-    ``fn`` must be effect-free, non-negative on [0, 1] and have a positive
-    sum over every distribution it is applied to.  The function itself is
-    not serialisable; ``label`` stands in for it in reports.
+    ``fn`` must be effect-free, finite and non-negative on [0, 1], and have
+    a positive sum that does not overflow over every distribution it is
+    applied to; a breach raises :class:`GeneratorError`.  The function
+    itself is not serialisable; ``label`` stands in for it in reports.
 
     pd-independence cannot be decided from function values, so the claim
     defaults to False and may be asserted by the caller (typically after
@@ -235,8 +239,8 @@ class Generator(_Normalised):
     def numerators(self, values):
         out = [self.fn(p) for p in values]
         for p, fp in zip(values, out):
-            if not fp >= 0.0:
-                raise GeneratorError(f"generator {self.label} is negative or NaN at {p!r}: f = {fp!r}")
+            if not 0.0 <= fp < math.inf:
+                raise GeneratorError(f"generator {self.label} is negative, infinite or NaN at {p!r}: f = {fp!r}")
         return out
 
     def _without_context(self, values, n):
@@ -366,8 +370,9 @@ def from_generator(fn: Callable[[float], float], dist: Distribution, label: str 
     """Transform a distribution by normalising a generator function over it.
 
     The result is (f(p_1), ..., f(p_n)) / sum(f(p_i)).  Raises
-    :class:`GeneratorError` when some f(p_i) is negative or the sum is not
-    positive.  A decreasing ``fn`` yields a negation of ``dist``.
+    :class:`GeneratorError` when some f(p_i) is negative or not finite, or
+    the sum is not positive or overflows.  A decreasing ``fn`` yields a
+    negation of ``dist``.
     """
     return apply_transformation(Generator(fn, label), dist)
 

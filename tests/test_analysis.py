@@ -15,11 +15,13 @@ from pdneg import (
     ContextMismatch,
     Distribution,
     Generator,
+    GeneratorError,
     IDENTITY,
     IndependenceRequired,
     LengthError,
     LengthMismatch,
     Linear,
+    LinearityVerdict,
     NegatorRequired,
     ROOT_SUM,
     Tsallis,
@@ -252,6 +254,61 @@ class TestPointwiseCheckPreconditions:
         check(YAGER, 5, grid_size=101)
         assert calls == [101]
 
+
+
+def _canonical(f, n, p):
+    # A claimed-independent generator at p, inside (p, q, ..., q) with q = (1 - p)/(n - 1).
+    return f(p) / (f(p) + (n - 1) * f((1.0 - p) / (n - 1)))
+
+
+class TestCheckFailurePaths:
+    SQUARE = Generator(lambda p: (1.0 - p) ** 2, "square", claims_pd_independent=True)
+    RISING = Generator(lambda p: 1.0 + p, "rising", claims_pd_independent=True)
+
+    def test_balance_identity_witnesses(self):
+        f, n = self.SQUARE.fn, 5
+        report = functional_equation_check(self.SQUARE, n, grid_size=11)
+        assert not report.passed
+        # p = 1/n is the fixed point of both N and Yager's negator, so the identity holds there.
+        assert [v.location for v in report.violations] == [k / 10 for k in range(11) if k != 2]
+        for v in report.violations:
+            p = v.location
+            residual = abs(_canonical(f, n, (1.0 - p) / (n - 1)) - (1.0 - _canonical(f, n, p)) / (n - 1))
+            assert v.expected == 0.0
+            assert v.actual == v.magnitude == pytest.approx(residual, rel=1e-12)
+
+    def test_boundary_endpoints_are_reported_once(self):
+        # N(p) = (1 + p)/6 at n = 5: above 1/5 for p > 1/5 and below it for p < 1/5.
+        report = boundary_range_check(self.RISING, 5, grid_size=11)
+        locations = [v.location for v in report.violations]
+        assert locations.count(0.0) == 1
+        assert locations.count(1.0) == 1
+        assert locations == [k / 10 for k in range(11) if k != 2]
+        for v in report.violations:
+            assert v.expected == 0.2
+            assert v.actual == pytest.approx((1.0 + v.location) / 6, abs=1e-15)
+            assert v.magnitude == pytest.approx(abs(v.actual - 0.2), abs=1e-15)
+
+    def test_boundary_tie_violation_comes_first(self):
+        # (1 - p)^2 at n = 5: N(1) = 0 ties N(0) to 1/4, but N(0) = 1/3.25.
+        report = boundary_range_check(self.SQUARE, 5, grid_size=11)
+        tie, *swept = report.violations
+        assert (tie.location, tie.expected) == (0.0, 0.25)
+        assert tie.actual == pytest.approx(1 / 3.25, abs=1e-15)
+        assert tie.magnitude == pytest.approx(1 / 3.25 - 0.25, abs=1e-15)
+        # The sweep reports N(0) once more, now as lying above 1/(n-1), which is also 1/4.
+        assert [v for v in swept if v.location == 0.0] == [tie]
+
+    @pytest.mark.parametrize("check", [functional_equation_check, boundary_range_check, linearity_test])
+    def test_an_infinite_generator_value_is_a_generator_error(self, check):
+        infinite_at_one = Generator(lambda p: math.inf if p == 1.0 else 1.0 - p, "inf", claims_pd_independent=True)
+        with pytest.raises(GeneratorError, match="infinite"):
+            check(infinite_at_one, 5)
+
+    def test_linearity_gives_up_when_n_times_n1_leaves_the_unit_interval(self):
+        # N(1) = 1/3 at n = 5, so alpha = n N(1) = 5/3 is no linear negator's.
+        verdict = linearity_test(self.RISING, 5)
+        assert verdict == LinearityVerdict(is_linear=False, alpha_estimate=None, max_residual=math.inf)
 
 class TestIndependenceProbe:
     def test_tsallis_two_is_refuted_across_contexts(self):

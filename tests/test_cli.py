@@ -424,6 +424,18 @@ class TestInputDocument:
         assert json.loads(out)["results"][0]["entropy"] == 0.0
 
 
+
+class TestLabelEncoding:
+    # A lone surrogate has no UTF-8 form, so no report could print the label.
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_label_that_is_not_valid_unicode_exits_2_before_any_output(self, capsys, tmp_path, fmt):
+        distributions = [{"label": "a", "values": [1, 0]}, {"label": "\ud800", "values": [1, 0]}]
+        path = write_input(tmp_path, json.dumps({"distributions": distributions}), "input.json")
+        code, out, err = run(capsys, "negate", "yager", "--format", fmt, "--input", path)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["pdneg: distribution entry #2: label '\\ud800' is not valid Unicode"]
+
 # Every error class the package raises; the bare base class is never raised.
 RAISED_ERRORS = [
     cls for cls in vars(errors).values()

@@ -246,6 +246,42 @@ class TestFromGenerator:
                 assert generated.values == pytest.approx(closed.values, abs=1e-12)
 
 
+
+class TestGeneratorContract:
+    INFINITE_AT_ONE = Generator(lambda p: math.inf if p == 1.0 else 1.0 - p, "inf-at-one",
+                                claims_pd_independent=True)
+
+    def test_an_infinite_value_is_rejected_without_a_context(self):
+        with pytest.raises(GeneratorError, match="infinite"):
+            evaluate(self.INFINITE_AT_ONE, 1.0, n=5)
+
+    def test_an_infinite_value_is_rejected_inside_a_distribution(self):
+        with pytest.raises(GeneratorError, match="infinite"):
+            apply_transformation(self.INFINITE_AT_ONE, Distribution((1.0, 0.0, 0.0)))
+
+    def test_an_overflowing_normaliser_is_rejected(self):
+        with pytest.raises(GeneratorError, match="overflows"):
+            from_generator(lambda p: 1e308, Distribution((0.5, 0.5)))
+
+
+class TestProbabilitySlack:
+    # Components up to 1e-9 outside [0, 1] pass validation; the kernels see them clamped.
+    @pytest.mark.parametrize(
+        "descriptor",
+        [YAGER, Tsallis(2.0), ROOT_SUM, mixture([(0.25, Tsallis(0.5)), (0.75, YAGER)])],
+    )
+    @pytest.mark.parametrize(
+        "slack,clamped",
+        [((1.0 + 5e-10, -5e-10, 0.0), (1.0, 0.0, 0.0)), ((-3e-10, 0.4, 0.6 + 3e-10), (0.0, 0.4, 0.6 + 3e-10))],
+    )
+    def test_apply_matches_the_clamped_copy(self, descriptor, slack, clamped):
+        out = apply_transformation(descriptor, Distribution(slack))
+        assert out.values == apply_transformation(descriptor, Distribution(clamped)).values
+
+    def test_boundary_conversion_snaps_alpha_back_into_the_unit_interval(self):
+        assert 6 * (1.0 - 5 * (1 / 6)) > 1.0  # the raw alpha overshoots 1
+        assert linear_from_boundary(6, n_at_zero=1 / 6) == Linear(1.0)
+
 class TestTsallisAcrossK:
     @settings(deadline=None)
     @given(st.floats(min_value=-15.0, max_value=4.0), st.integers(2, 1000), st.integers(0, 2**32 - 1),
