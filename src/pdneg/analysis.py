@@ -15,16 +15,17 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Distribution, EntropyReport, entropy, uniform_distribution
-from .errors import (
-    ArgumentError,
-    ContextMismatch,
-    IndependenceRequired,
-    LengthError,
-    LengthMismatch,
-    NegatorRequired,
+from .core import Distribution, EntropyReport, entropy, require_length, uniform_distribution
+from .errors import ArgumentError, ContextMismatch, IndependenceRequired, LengthMismatch, NegatorRequired
+from .negators import (
+    CONTEXT_TOLERANCE,
+    YAGER,
+    Linear,
+    NegatorDescriptor,
+    _coerce_probability,
+    apply_transformation,
+    evaluate,
 )
-from .negators import YAGER, Linear, NegatorDescriptor, _coerce_probability, apply_transformation, evaluate
 
 #: Grid resolution used by default for all sweeps over [0, 1].
 DEFAULT_GRID_SIZE = 1001
@@ -232,8 +233,7 @@ def _require_claims(descriptor: NegatorDescriptor, n: int, *, negator: bool = Fa
         raise IndependenceRequired(f"{descriptor.spec_string()} does not claim pd-independence")
     if negator and not descriptor.claims_negator:
         raise NegatorRequired(f"{descriptor.spec_string()} does not claim to be a negator")
-    if n < 2:
-        raise LengthError(f"need n >= 2, got {n}")
+    require_length(n)
 
 
 def _balance_residuals(descriptor: NegatorDescriptor, n: int, ps: list[float]) -> list[float]:
@@ -361,29 +361,21 @@ def independence_probe(
     the report notes.
     """
     contexts = tuple(contexts)
-    notes = []
+    groups: dict[int | None, list[int]] = {}
     for index, context in enumerate(contexts):
-        if min(abs(c - p) for c in context.values) > 1e-12:
+        if min(abs(c - p) for c in context.values) > CONTEXT_TOLERANCE:
             raise ContextMismatch(f"context #{index + 1} has no component equal to {p!r}")
+        groups.setdefault(len(context) if descriptor.uses_length else None, []).append(index)
+    notes = []
     if descriptor.uses_length:
-        groups: dict[int, list[int]] = {}
-        for index, context in enumerate(contexts):
-            groups.setdefault(len(context), []).append(index)
         notes.append("contexts compared within equal lengths only: evaluation takes n as an input")
-        grouped = list(groups.values())
-    else:
-        grouped = [list(range(len(contexts)))]
     results = [evaluate(descriptor, p, context=context) for context in contexts]
     violations = []
-    for group in grouped:
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                i, j = group[a], group[b]
-                gap = abs(results[i] - results[j])
-                if gap > tolerance:
-                    violations.append(
-                        Violation((i + 1, j + 1), expected=results[i], actual=results[j], magnitude=gap)
-                    )
+    for group in groups.values():
+        for i, j in itertools.combinations(group, 2):
+            gap = abs(results[i] - results[j])
+            if gap > tolerance:
+                violations.append(Violation((i + 1, j + 1), expected=results[i], actual=results[j], magnitude=gap))
     return _report("independence-probe", violations, 0, tolerance, seed=seed, notes=notes)
 
 
@@ -427,8 +419,7 @@ def sample_distributions(n: int, count: int, seed: int) -> tuple[Distribution, .
     Normalises independent unit-exponential draws, the standard way to
     sample the flat distribution on the simplex.
     """
-    if n < 2:
-        raise LengthError(f"need n >= 2, got {n}")
+    require_length(n)
     rng = random.Random(seed)
     samples = []
     for _ in range(count):
@@ -444,8 +435,7 @@ def contexts_containing(p: float, n: int, count: int, seed: int) -> tuple[Distri
     Used to probe pd-independence: the remaining mass 1 - p is spread over
     n - 1 seeded random proportions.
     """
-    if n < 2:
-        raise LengthError(f"need n >= 2, got {n}")
+    require_length(n)
     if not 0.0 <= p < 1.0:
         raise ArgumentError(f"need 0 <= p < 1 to fill the remaining mass, got {p!r}")
     rng = random.Random(seed)

@@ -74,8 +74,9 @@ _SKIP_REASONS = {
 # Input / output plumbing
 # ---------------------------------------------------------------------------
 
-def _read_input(path: str | None) -> list[tuple[str, list[float]]]:
-    text = sys.stdin.read() if path in (None, "-") else Path(path).read_text()
+def _read_input(args) -> list[tuple[str, Distribution]]:
+    """The labelled distributions of --input (or stdin), each validated."""
+    text = sys.stdin.read() if args.input in (None, "-") else Path(args.input).read_text()
     if text.lstrip().startswith("{"):
         # Integers are read as floats (beyond float range as inf, like 1e999),
         # so a value is a number exactly when its type is float: not bool,
@@ -118,10 +119,6 @@ def _read_input(path: str | None) -> list[tuple[str, list[float]]]:
     labels = [label for label, _ in labelled]
     if len(set(labels)) != len(labels):
         raise ValueError("distribution labels must be unique")
-    return labelled
-
-
-def _validated(labelled: list[tuple[str, list[float]]]) -> list[tuple[str, Distribution]]:
     distributions = []
     for label, values in labelled:
         try:
@@ -215,7 +212,7 @@ def cmd_negate(args) -> int:
     results = [
         {"label": label, "n": len(dist), "input": list(dist.values),
          **_negation(descriptor(len(dist)), dist, entropy(dist))}
-        for label, dist in _validated(_read_input(args.input))
+        for label, dist in _read_input(args)
     ]
     header = ["label", "index", "input", "output", "input_entropy", "output_entropy", "entropy_delta"]
     _emit(args, {"command": "negate", "results": results}, header, results)
@@ -277,7 +274,7 @@ def cmd_check(args) -> int:
 def cmd_iterate(args) -> int:
     descriptor = cache(lambda n: parse_descriptor(args.negator, n=n))  # parsed once per distinct length
     results = []
-    for label, dist in _validated(_read_input(args.input)):
+    for label, dist in _read_input(args):
         trace = iterate_negation(descriptor(len(dist)), dist, args.steps)
         steps = [
             {"step": step, "values": list(d.values), "distance_to_uniform": distance, "entropy": h}
@@ -293,7 +290,7 @@ def cmd_iterate(args) -> int:
 
 def cmd_sweep_alpha(args) -> int:
     _check_size("--alphas", args.alphas, at_least=2)
-    distributions = _validated(_read_input(args.input))
+    distributions = _read_input(args)
     if args.n is not None:
         for label, dist in distributions:
             if len(dist) != args.n:
@@ -314,7 +311,7 @@ def cmd_sweep_alpha(args) -> int:
 def cmd_entropy(args) -> int:
     results = [
         {"label": label, "n": len(dist), "entropy": entropy(dist)}
-        for label, dist in _validated(_read_input(args.input))
+        for label, dist in _read_input(args)
     ]
     header = ["label", "n", "entropy"]
     _emit(args, {"command": "entropy", "results": results}, header, results)

@@ -82,17 +82,21 @@ def validate_distribution(values: Iterable[float], tolerance: float = DEFAULT_TO
     return Distribution(tuple(values), tolerance)
 
 
-def uniform_distribution(n: int) -> Distribution:
-    """The length-n distribution with every component equal to 1/n."""
+def require_length(n: int) -> None:
+    """Raise :class:`LengthError` unless n >= 2, the shortest distribution length."""
     if n < 2:
         raise LengthError(f"need n >= 2, got {n}")
+
+
+def uniform_distribution(n: int) -> Distribution:
+    """The length-n distribution with every component equal to 1/n."""
+    require_length(n)
     return Distribution((1.0 / n,) * n)
 
 
 def point_distribution(n: int, i: int) -> Distribution:
     """The length-n distribution with all mass on component i (1-based)."""
-    if n < 2:
-        raise LengthError(f"need n >= 2, got {n}")
+    require_length(n)
     if not 1 <= i <= n:
         raise ComponentIndexError(f"component index {i} outside 1..{n}")
     return Distribution(tuple(1.0 if j == i - 1 else 0.0 for j in range(n)))

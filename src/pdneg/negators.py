@@ -59,7 +59,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .core import Distribution
+from .core import DEFAULT_TOLERANCE, Distribution, require_length
 from .errors import (
     ArgumentError,
     ContextMismatch,
@@ -74,14 +74,10 @@ from .errors import (
     WeightError,
 )
 
-#: Slack allowed on probability arguments (matches distribution validation).
-PROBABILITY_SLACK = 1e-9
 #: Tolerance for matching a probed value against a context component.
 CONTEXT_TOLERANCE = 1e-12
 #: Tolerance on the mixture weight sum.
 WEIGHT_TOLERANCE = 1e-12
-#: Tolerance on the component sum of a transformed distribution.
-OUTPUT_SUM_TOLERANCE = 1e-9
 
 
 class NegatorDescriptor:
@@ -270,18 +266,8 @@ class Mixture(NegatorDescriptor):
         total = math.fsum(w for w, _ in components)
         if abs(total - 1.0) > WEIGHT_TOLERANCE:
             raise WeightError(f"mixture weights sum to {total!r}, expected 1")
-
-    @property
-    def claims_negator(self) -> bool:  # type: ignore[override]
-        return all(inner.claims_negator for _, inner in self.components)
-
-    @property
-    def claims_pd_independent(self) -> bool:  # type: ignore[override]
-        return all(inner.claims_pd_independent for _, inner in self.components)
-
-    @property
-    def uses_length(self) -> bool:  # type: ignore[override]
-        return any(inner.uses_length for _, inner in self.components)
+        for claim, combine in (("claims_negator", all), ("claims_pd_independent", all), ("uses_length", any)):
+            object.__setattr__(self, claim, combine(getattr(inner, claim) for _, inner in components))
 
     def spec_string(self) -> str:
         inner = ",".join(f"{w!r}*{d.spec_string()}" for w, d in self.components)
@@ -304,7 +290,7 @@ BUILTINS: dict[str, NegatorDescriptor] = {d.spec_string(): d for d in (IDENTITY,
 
 def _coerce_probability(p: float) -> float:
     p = float(p)
-    if math.isnan(p) or p < -PROBABILITY_SLACK or p > 1.0 + PROBABILITY_SLACK:
+    if math.isnan(p) or p < -DEFAULT_TOLERANCE or p > 1.0 + DEFAULT_TOLERANCE:
         raise RangeError(f"probability {p!r} lies outside [0, 1]")
     return min(max(p, 0.0), 1.0)
 
@@ -315,8 +301,7 @@ def _require_length(descriptor: NegatorDescriptor, n: int | None) -> int:
             f"{type(descriptor).__name__} evaluation needs the distribution length; "
             "pass n= or a context distribution"
         )
-    if n < 2:
-        raise LengthError(f"need n >= 2, got {n}")
+    require_length(n)
     return n
 
 
@@ -359,7 +344,7 @@ def apply_transformation(descriptor: NegatorDescriptor, dist: Distribution) -> D
         values = tuple(_coerce_probability(v) for v in values)
     images = descriptor.images(values, len(values), values)
     try:
-        return Distribution(images, OUTPUT_SUM_TOLERANCE)
+        return Distribution(images)
     except (RangeError, SumError, LengthError) as exc:
         raise InternalConsistencyError(
             f"{descriptor.spec_string()} produced values off the simplex: {exc}"
@@ -411,8 +396,7 @@ def linear_from_boundary(
     N(0) in [1/n, 1/(n-1)]; the two determine each other through
     N(1) = 1 - (n - 1) N(0), and either pins alpha = n N(1).
     """
-    if n < 2:
-        raise LengthError(f"need n >= 2, got {n}")
+    require_length(n)
     if (n_at_one is None) == (n_at_zero is None):
         raise ArgumentError("exactly one of n_at_one and n_at_zero must be supplied")
     if n_at_zero is not None:
@@ -489,16 +473,12 @@ class _Parser:
             if self.text.startswith("alpha=", self.pos):
                 self.pos += len("alpha=")
                 return Linear(self.number())
-            if self.text.startswith("n1=", self.pos):
-                if self.n is None:
-                    self.fail("linear:n1= needs the distribution length n")
-                self.pos += len("n1=")
-                return linear_from_boundary(self.n, n_at_one=self.number())
-            if self.text.startswith("n0=", self.pos):
-                if self.n is None:
-                    self.fail("linear:n0= needs the distribution length n")
-                self.pos += len("n0=")
-                return linear_from_boundary(self.n, n_at_zero=self.number())
+            for key, boundary in (("n1=", "n_at_one"), ("n0=", "n_at_zero")):
+                if self.text.startswith(key, self.pos):
+                    if self.n is None:
+                        self.fail(f"linear:{key} needs the distribution length n")
+                    self.pos += len(key)
+                    return linear_from_boundary(self.n, **{boundary: self.number()})
             self.fail("expected alpha=, n1= or n0=")
         if name == "mix":
             self.expect(":[")
