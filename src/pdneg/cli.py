@@ -7,7 +7,8 @@ from --input (default stdin) either as a JSON document
 
 or as bare text, one whitespace/comma-separated distribution per line with
 labels auto-generated as pd1, pd2, ...  JSON labels must be non-empty,
-unique strings that encode as UTF-8.  Reports go to stdout as JSON or CSV
+unique strings that encode as UTF-8 (for CSV also to stdout's encoding, and
+with no carriage return).  Reports go to stdout as JSON or CSV
 with full-precision numbers (--pretty rounds to 6 significant digits).  CSV
 columns are the JSON record fields, with per-component lists unrolled one row
 per component and numbered by `index`; a per-record scalar is formatted once
@@ -75,8 +76,16 @@ _SKIP_REASONS = {
 # ---------------------------------------------------------------------------
 
 def _read_input(args) -> list[tuple[str, Distribution]]:
-    """The labelled distributions of --input (or stdin), each validated."""
+    """The labelled distributions of --input (or stdin), each validated.
+
+    CSV writes labels as they are, so under --format csv a label must also
+    hold no carriage return (csv.writer before Python 3.13 leaves it
+    unquoted, which splits the row) and must encode to stdout's encoding (a
+    stdout without one, such as io.StringIO, takes any text).  JSON escapes
+    every label to ASCII.
+    """
     text = sys.stdin.read() if args.input in (None, "-") else Path(args.input).read_text()
+    csv_encoding = (getattr(sys.stdout, "encoding", None) or "utf-8") if args.format == "csv" else None
     if text.lstrip().startswith("{"):
         # Integers are read as floats (beyond float range as inf, like 1e999),
         # so a value is a number exactly when its type is float: not bool,
@@ -100,6 +109,15 @@ def _read_input(args) -> list[tuple[str, Distribution]]:
                 label.encode("utf-8")
             except UnicodeEncodeError:
                 raise ValueError(f"distribution entry #{index}: label {label!r} is not valid Unicode") from None
+            if csv_encoding is not None:
+                if "\r" in label:
+                    raise ValueError(f"distribution entry #{index}: label {label!r} holds a carriage return, "
+                                     "which CSV cannot write")
+                try:
+                    label.encode(csv_encoding)
+                except UnicodeEncodeError:
+                    raise ValueError(f"distribution entry #{index}: label {label!r} cannot be written "
+                                     f"in stdout's encoding {csv_encoding}") from None
             if not isinstance(values, list):
                 raise ValueError(f"distribution {label!r} needs a 'values' list")
             if not all(type(v) is float for v in values):

@@ -436,6 +436,44 @@ class TestLabelEncoding:
         assert out == ""
         assert err.splitlines() == ["pdneg: distribution entry #2: label '\\ud800' is not valid Unicode"]
 
+    # CSV writes a label as it is, so under --format csv it must hold no bare
+    # carriage return (csv.writer before Python 3.13 leaves one unquoted and the
+    # row splits) and must encode to stdout's encoding.  JSON escapes to ASCII.
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_carriage_return_in_a_label_exits_2_under_csv_only(self, capsys, tmp_path, fmt):
+        distributions = [{"label": "a", "values": [0.5, 0.5]}, {"label": "a\rb", "values": [0.5, 0.5]}]
+        path = write_input(tmp_path, json.dumps({"distributions": distributions}), "input.json")
+        code, out, err = run(capsys, "entropy", "--format", fmt, "--input", path)
+        if fmt == "csv":
+            assert code == 2
+            assert out == ""
+            assert err.splitlines() == [
+                "pdneg: distribution entry #2: label 'a\\rb' holds a carriage return, which CSV cannot write"
+            ]
+        else:
+            assert code == 0
+            assert json.loads(out)["results"][1]["label"] == "a\rb"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_label_an_ascii_stdout_cannot_encode_exits_2_under_csv_only(self, capsys, tmp_path, monkeypatch, fmt):
+        distributions = [{"label": "a", "values": [0.5, 0.5]}, {"label": "\u00e9", "values": [0.5, 0.5]}]
+        path = write_input(tmp_path, json.dumps({"distributions": distributions}), "input.json")
+        raw = io.BytesIO()
+        monkeypatch.setattr("sys.stdout", io.TextIOWrapper(raw, encoding="ascii", newline=""))
+        code = main(["entropy", "--format", fmt, "--input", path])
+        sys.stdout.flush()
+        err = capsys.readouterr().err
+        if fmt == "csv":
+            assert code == 2
+            assert raw.getvalue() == b""
+            assert err.splitlines() == [
+                "pdneg: distribution entry #2: label '\u00e9' cannot be written in stdout's encoding ascii"
+            ]
+        else:
+            assert code == 0
+            assert json.loads(raw.getvalue())["results"][1]["label"] == "\u00e9"
+
+
 # Every error class the package raises; the bare base class is never raised.
 RAISED_ERRORS = [
     cls for cls in vars(errors).values()
