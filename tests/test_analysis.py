@@ -122,6 +122,18 @@ class TestFixedPoint:
         locations = {violation.location for violation in report.violations}
         assert 0.0 in locations and 1.0 in locations
 
+    def test_zero_tolerance_reports_the_rounding_of_one_third(self):
+        # Yager's kernel at n = 3 maps 1/3 to (1 - 1/3)/2, one rounding (5.55e-17)
+        # above 1/3: part (a) reports each component of N(U), part (b) N(1/3).
+        # The default grid holds no 1/3, so the uniqueness sweep adds nothing.
+        u = 1.0 / 3
+        image = 0.0 / 3 + (1.0 - 0.0) * (1.0 - u) / (3 - 1)
+        report = fixed_point_check(YAGER, 3, tolerance=0.0)
+        assert [(v.location, v.expected, v.actual, v.magnitude) for v in report.violations] == [
+            (location, u, image, abs(image - u)) for location in (1, 2, 3, u)
+        ]
+        assert abs(image - u) == pytest.approx(5.55e-17, rel=1e-3)
+
 
 class TestFunctionalEquation:
     def test_yager_residual_is_zero(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import io
 import json
 import os
@@ -496,6 +497,21 @@ class TestExitCodes:
 
 
 class TestModuleEntryPoints:
+    # The installed `pdneg` command is the [project.scripts] entry of pyproject.toml.
+    @pytest.mark.parametrize("argv,expected", [(["check", "yager", "--n", "5"], 0),
+                                               (["check", "tsallis:k=2", "--n", "5"], 1)])
+    def test_the_console_script_exits_with_mains_code(self, capsys, monkeypatch, argv, expected):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        module, _, name = tomllib.loads(pyproject.read_text())["project"]["scripts"]["pdneg"].partition(":")
+        console_main = getattr(importlib.import_module(module), name)
+        code, out, err = run(capsys, *argv)
+        monkeypatch.setattr("sys.argv", ["pdneg", *argv])
+        with pytest.raises(SystemExit) as excinfo:
+            console_main()
+        assert code == excinfo.value.code == expected
+        assert capsys.readouterr() == (out, err)
+
     @pytest.mark.parametrize("module", ["pdneg", "pdneg.cli"])
     def test_python_dash_m_runs_the_cli(self, module):
         src = str(Path(__file__).resolve().parent.parent / "src")

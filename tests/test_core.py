@@ -9,12 +9,17 @@ from hypothesis import given
 
 from conftest import EXAMPLE_PD, simplexes
 from pdneg import (
+    YAGER,
     ComponentIndexError,
     Distribution,
     LengthError,
     RangeError,
     SumError,
+    boundary_range_check,
+    contexts_containing,
     entropy,
+    evaluate,
+    linear_from_boundary,
     point_distribution,
     sample_distributions,
     uniform_distribution,
@@ -96,6 +101,25 @@ class TestConstructors:
     def test_constructors_validate_at_1e12_for_all_lengths(self, n):
         validate_distribution(uniform_distribution(n).values, tolerance=1e-12)
         validate_distribution(point_distribution(n, n).values, tolerance=1e-12)
+
+
+# Every entry point that takes a length states n >= 2 through core.require_length.
+LENGTH_TAKERS = {
+    "uniform_distribution": lambda: uniform_distribution(1),
+    "point_distribution": lambda: point_distribution(1, 1),
+    "sample_distributions": lambda: sample_distributions(1, 3, seed=0),
+    "contexts_containing": lambda: contexts_containing(0.5, 1, 3, seed=0),
+    "linear_from_boundary": lambda: linear_from_boundary(1, n_at_one=0.0),
+    "evaluate": lambda: evaluate(YAGER, 0.5, n=1),
+    "boundary_range_check": lambda: boundary_range_check(YAGER, 1),
+}
+
+
+@pytest.mark.parametrize("call", LENGTH_TAKERS.values(), ids=LENGTH_TAKERS)
+def test_every_length_taker_refuses_n_1_with_the_same_error(call):
+    with pytest.raises(LengthError) as excinfo:
+        call()
+    assert str(excinfo.value) == "need n >= 2, got 1"
 
 
 def _exact_entropy(values) -> float:

@@ -464,10 +464,12 @@ class TestParser:
         assert parse_descriptor("linear:n1=0.1", n=5) == Linear(0.5)
         assert parse_descriptor("linear:n0=0.225", n=5).alpha == pytest.approx(0.5, abs=1e-12)
 
-    def test_boundary_forms_without_a_length_fail_with_position(self):
+    @pytest.mark.parametrize("text", ["linear:n1=0.1", "linear:n0=0.2"])
+    def test_boundary_forms_without_a_length_fail_with_position(self, text):
         with pytest.raises(DescriptorError) as excinfo:
-            parse_descriptor("linear:n1=0.1")
+            parse_descriptor(text)
         assert excinfo.value.position == 7
+        assert str(excinfo.value) == f"{text[:10]} needs the distribution length n at position 7"
 
     @pytest.mark.parametrize(
         "text,position",
