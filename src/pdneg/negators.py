@@ -39,6 +39,11 @@ O(n); :func:`evaluate` is O(n) with a context and O(1) without (O(n) for a
 claimed-independent generator, via its canonical context); and
 :func:`pdneg.analysis.check_negation_pair` is O(n log n) when the pair passes.
 
+One slack, :data:`pdneg.core.DEFAULT_TOLERANCE` (1e-9), serves both ends of
+a transformation: a probability argument may lie that far outside [0, 1]
+and is clamped into it, and a transformed distribution must sum to 1 within
+it, as distribution validation requires of any input.
+
 Descriptors also have a textual form (see :func:`parse_descriptor`) used by
 the command line:
 
@@ -335,7 +340,8 @@ def apply_transformation(descriptor: NegatorDescriptor, dist: Distribution) -> D
 
     One kernel call maps every component in O(n); an image depends only on
     its value and the shared normaliser, so equal inputs map to bit-equal
-    outputs.  The output must land back on the simplex within 1e-9;
+    outputs.  The output must land back on the simplex within
+    :data:`pdneg.core.DEFAULT_TOLERANCE`, the output-sum tolerance;
     anything else is an :class:`InternalConsistencyError`, never
     renormalised away.
     """
