@@ -37,6 +37,17 @@ QUOTED_DOCUMENT = json.dumps({"distributions": [
     {"label": " lead \u00e9", "values": [0.25, 0.25, 0.5]},
 ]})
 
+# Labels that look like format strings (printf and str.format), one CSV has
+# to quote for its comma and quotes, and one holding a tab: each must come
+# out as written.
+FORMAT_LIKE_DOCUMENT = json.dumps({"distributions": [
+    {"label": "100%", "values": [0.5, 0.3, 0.2]},
+    {"label": "%s%d", "values": [0.1, 0.2, 0.3, 0.4]},
+    {"label": "{0}", "values": [1.0, 0.0]},
+    {"label": 'a,"b"', "values": [0.25, 0.25, 0.5]},
+    {"label": "tab\there", "values": [0.6, 0.4]},
+]})
+
 # (name, argv, exit code), run on DOCUMENT
 COMMANDS = [
     ("negate-yager", ["negate", "yager"], 0),
@@ -55,6 +66,12 @@ QUOTED_COMMANDS = [
     ("negate-yager-quoted", ["negate", "yager"], 0),
     ("iterate-yager-quoted", ["iterate", "yager", "--steps", "2"], 0),
 ]
+# (name, argv, exit code), run on FORMAT_LIKE_DOCUMENT
+FORMAT_LIKE_COMMANDS = [
+    ("negate-yager-format-like", ["negate", "yager"], 0),
+    ("iterate-yager-format-like", ["iterate", "yager", "--steps", "2"], 0),
+    ("sweep-alpha-format-like", ["sweep-alpha", "--alphas", "3"], 0),
+]
 FORMATS = [
     ("json", []),
     ("pretty.json", ["--pretty"]),
@@ -63,7 +80,8 @@ FORMATS = [
 ]
 CASES = [
     (f"{name}.{suffix}", argv + flags, code, document)
-    for document, commands in ((DOCUMENT, COMMANDS), (QUOTED_DOCUMENT, QUOTED_COMMANDS))
+    for document, commands in ((DOCUMENT, COMMANDS), (QUOTED_DOCUMENT, QUOTED_COMMANDS),
+                               (FORMAT_LIKE_DOCUMENT, FORMAT_LIKE_COMMANDS))
     for name, argv, code in commands
     for suffix, flags in FORMATS
 ]
