@@ -11,8 +11,10 @@ unique strings that encode as UTF-8 (for CSV also to stdout's encoding, and
 with no carriage return).  Reports go to stdout as JSON or CSV
 with full-precision numbers (--pretty rounds to 6 significant digits).  CSV
 columns are the JSON record fields, with per-component lists unrolled one row
-per component and numbered by `index`; a per-record scalar is formatted once
-and repeated on each of its rows.  check writes one row per check.  negate and
+per component and numbered by `index`.  Each record is rendered as one string:
+its scalars are formatted once (text quoted by csv.writer) and repeated on
+each of its rows, and the numbers of a row are one %-format, so a label is
+never read as a format.  check writes one row per check.  negate and
 iterate parse the descriptor once per distinct distribution length.
 check's --tol must be finite and >= 0, its --grid at least 2.
 
@@ -28,10 +30,10 @@ import csv
 import json
 import math
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from functools import cache
-from itertools import repeat
 from pathlib import Path
+from types import SimpleNamespace
 
 from .analysis import (
     DEFAULT_GRID_SIZE,
@@ -158,45 +160,40 @@ def _rounded(node):
     return node
 
 
-def _cell_formatter(pretty: bool) -> Callable[[object], str]:
-    """The CSV text of one value: a float to 17 significant digits (6 with
-    --pretty), a bool as true/false, None as empty, anything else as str."""
+def _csv_text(header: list[str], records: Iterable[dict], pretty: bool) -> Iterator[str]:
+    """CSV text of report records, one string per record, as the module
+    docstring describes; per-component lists of floats follow `index`."""
+    number = "%.6g" if pretty else "%.17g"
+    # writerow returns what its file's write returns: here the row's text.
+    quoted = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
 
     def cell(value) -> str:
         if isinstance(value, float):
-            return f"{value:.6g}" if pretty else f"{value:.17g}"
+            return number % value
         if isinstance(value, bool):
             return "true" if value else "false"
-        return "" if value is None else str(value)
+        return "" if value is None or value == "" else quoted((value,))[:-1]
 
-    return cell
-
-
-def _unrolled(header: list[str], records: Iterable[dict], cell: Callable[[object], str]) -> Iterator[Iterable[str]]:
-    """CSV rows of report records: the columns are record fields, and a record
-    with per-component lists gives one row per component, numbered by `index`.
-    Each field is formatted once, so a scalar is repeated as text down its rows."""
+    yield ",".join(map(cell, header)) + "\n"
     for record in records:
         fields = [record.get(name) for name in header]
-        length = next((len(field) for field in fields if isinstance(field, list)), None)
-        if length is None:
-            yield map(cell, fields)
-        else:
-            yield from zip(*(
-                map(str, range(1, length + 1)) if name == "index"
-                else map(cell, field) if isinstance(field, list)
-                else repeat(cell(field))
-                for name, field in zip(header, fields)
-            ))
+        lists = [field for field in fields if isinstance(field, list)]
+        if not lists:
+            yield ",".join(map(cell, fields)) + "\n"
+            continue
+        start = header.index("index")
+        head = "".join([cell(field) + "," for field in fields[:start]])
+        tail = "".join(["," + cell(field) for field in fields[start + 1 + len(lists):]]) + "\n"
+        row = ",".join(["%d"] + [number] * len(lists))
+        rows = (tail + head).join(map(row.__mod__, zip(range(1, len(lists[0]) + 1), *lists)))
+        yield head + rows + tail if rows else ""
 
 
 def _emit(args, payload: dict, header: list[str], records: Iterable[dict]) -> None:
     """Print the payload as JSON, or the records as CSV rows under the header
     (records are only read for CSV)."""
     if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(_unrolled(header, records, _cell_formatter(args.pretty)))
+        sys.stdout.writelines(_csv_text(header, records, args.pretty))
     else:
         document = _rounded(payload) if args.pretty else payload
         print(json.dumps(document, indent=2 if args.pretty else None))
