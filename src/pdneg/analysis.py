@@ -13,7 +13,8 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from functools import partial
+from typing import Callable, Iterable, Iterator
 
 from .core import Distribution, EntropyReport, entropy, require_length, uniform_distribution
 from .errors import ArgumentError, ContextMismatch, IndependenceRequired, LengthMismatch, NegatorRequired
@@ -33,6 +34,9 @@ DEFAULT_GRID_SIZE = 1001
 DEFAULT_TOLERANCE = 1e-12
 #: Hard cap on component evaluations per iterate_negation call.
 MAX_COMPONENT_EVALUATIONS = 10**6
+#: Grid points per kernel call in the grid sweeps: a sweep holds one block of
+#: points and images at a time, whatever the grid size.
+GRID_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -136,12 +140,21 @@ def _report(name, violations, grid_size, tolerance, seed=None, notes=()):
     )
 
 
-def _grid(grid_size: int) -> list[float]:
-    # The ends are exactly 0.0 and 1.0, so a sweep's first and last images are N(0) and N(1).
+def _sweep(grid_size: int, *kernels: Callable[[list[float]], list[float]]) -> Iterator[tuple[float, ...]]:
+    """Each point p = k/(grid_size - 1) of the grid over [0, 1], in order, with
+    its value under each kernel.  The kernels map a block of at most
+    GRID_BLOCK points at a time; every kernel without a context maps value by
+    value, so the values do not depend on the block size.  The grid size is
+    checked at the call, the kernels run as the sweep is read."""
     if grid_size < 2:
         raise ArgumentError(f"grid_size must be at least 2, got {grid_size}")
     last = grid_size - 1
-    return [k / last for k in range(grid_size)]
+
+    def block(start: int) -> Iterator[tuple[float, ...]]:
+        ps = [k / last for k in range(start, min(start + GRID_BLOCK, grid_size))]
+        return zip(ps, *(kernel(ps) for kernel in kernels))
+
+    return itertools.chain.from_iterable(map(block, range(0, grid_size, GRID_BLOCK)))
 
 
 def _reverses_order(p: tuple[float, ...], q: tuple[float, ...], tolerance: float) -> bool:
@@ -212,8 +225,7 @@ def fixed_point_check(
         if abs(at_u - u) > tolerance:
             violations.append(Violation(u, expected=u, actual=at_u, magnitude=abs(at_u - u)))
         if descriptor.claims_negator:
-            grid = _grid(grid_size)
-            for p, value in zip(grid, descriptor.images(grid, n)):
+            for p, value in _sweep(grid_size, partial(descriptor.images, n=n)):
                 if abs(value - p) <= tolerance:
                     if abs(p - u) > tolerance:
                         violations.append(Violation(p, expected=u, actual=p, magnitude=abs(p - u)))
@@ -260,9 +272,8 @@ def functional_equation_check(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> CheckReport:
     """Sweep the balance-identity residual over a grid."""
-    grid = _grid(grid_size)
     violations = []
-    for p, residual in zip(grid, _balance_residuals(descriptor, n, grid)):
+    for p, residual in _sweep(grid_size, partial(_balance_residuals, descriptor, n)):
         if residual > tolerance:
             violations.append(Violation(p, expected=0.0, actual=residual, magnitude=residual))
     return _report("functional-equation", violations, grid_size, tolerance)
@@ -294,13 +305,12 @@ def boundary_range_check(
     u = 1.0 / n
     high = 1.0 / (n - 1)
     violations = []
-    grid = _grid(grid_size)
-    images = descriptor.images(grid, n)
-    at_zero, at_one = images[0], images[-1]
+    sweep = _sweep(grid_size, partial(descriptor.images, n=n))  # checks the grid size before N(0), N(1)
+    at_zero, at_one = descriptor.images([0.0, 1.0], n)
     tied = (1.0 - at_one) / (n - 1)
     if abs(at_zero - tied) > tolerance:
         violations.append(Violation(0.0, expected=tied, actual=at_zero, magnitude=abs(at_zero - tied)))
-    for p, value in zip(grid, images):
+    for p, value in sweep:
         if p >= u:
             candidate = _interval_violation(p, value, 0.0, u, tolerance)
             if candidate is not None:
@@ -327,14 +337,12 @@ def linearity_test(
     _require_claims(descriptor, n, negator=True)
     if grid_size < 3:
         raise ArgumentError(f"grid_size must be at least 3, got {grid_size}")
-    grid = _grid(grid_size)
-    images = descriptor.images(grid, n)
-    raw = n * images[-1]
+    raw = n * descriptor.images([1.0], n)[0]
     alpha = min(max(raw, 0.0), 1.0)
     if abs(alpha - raw) > tolerance:
         return LinearityVerdict(is_linear=False, alpha_estimate=None, max_residual=math.inf)
     max_residual = 0.0
-    for value, on_line in zip(images, Linear(alpha).images(grid, n)):
+    for _, value, on_line in _sweep(grid_size, partial(descriptor.images, n=n), partial(Linear(alpha).images, n=n)):
         max_residual = max(max_residual, abs(value - on_line))
     return LinearityVerdict(
         is_linear=max_residual <= tolerance,

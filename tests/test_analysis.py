@@ -22,6 +22,7 @@ from pdneg import (
     LengthMismatch,
     Linear,
     LinearityVerdict,
+    NegationError,
     NegatorRequired,
     ROOT_SUM,
     Tsallis,
@@ -249,8 +250,9 @@ class TestPointwiseCheckPreconditions:
         with pytest.raises(refusal):
             functional_equation_residual(descriptor, 1, 0.5)
 
-    @pytest.mark.parametrize("check", [boundary_range_check, linearity_test])
-    def test_one_kernel_call_over_the_grid_and_no_pointwise_evaluation(self, check, monkeypatch):
+    # N(0) and N(1) (linearity needs N(1) alone) are their own kernel call, then the grid is one call per block.
+    @pytest.mark.parametrize("check,ends", [(boundary_range_check, [2]), (linearity_test, [1])])
+    def test_one_kernel_call_per_grid_block_and_no_pointwise_evaluation(self, check, ends, monkeypatch):
         calls = []
         kernel = type(YAGER).images
 
@@ -263,8 +265,9 @@ class TestPointwiseCheckPreconditions:
 
         monkeypatch.setattr(type(YAGER), "images", counted)
         monkeypatch.setattr("pdneg.analysis.evaluate", refuse)
+        monkeypatch.setattr("pdneg.analysis.GRID_BLOCK", 40)
         check(YAGER, 5, grid_size=101)
-        assert calls == [101]
+        assert calls == ends + [40, 40, 21]
 
 
 
@@ -321,6 +324,34 @@ class TestCheckFailurePaths:
         # N(1) = 1/3 at n = 5, so alpha = n N(1) = 5/3 is no linear negator's.
         verdict = linearity_test(self.RISING, 5)
         assert verdict == LinearityVerdict(is_linear=False, alpha_estimate=None, max_residual=math.inf)
+
+class TestGridBlocks:
+    """The grid checks sweep GRID_BLOCK points per kernel call; no report depends on it."""
+
+    DESCRIPTORS = [
+        YAGER, UNIFORM, Linear(0.3), IDENTITY, ROOT_SUM, Tsallis(2.0),
+        mixture([(0.3, Linear(0.2)), (0.7, YAGER)]),
+        TestCheckFailurePaths.SQUARE, TestCheckFailurePaths.RISING,
+    ]
+    CHECKS = [fixed_point_check, functional_equation_check, boundary_range_check, linearity_test]
+
+    def reports(self, grid_size):
+        out = []
+        for descriptor in self.DESCRIPTORS:
+            for check in self.CHECKS:
+                try:
+                    out.append(repr(check(descriptor, 5, grid_size=grid_size)))
+                except NegationError as exc:
+                    out.append(repr(exc))
+        return out
+
+    # Around multiples of 7 and of the default block size.
+    @pytest.mark.parametrize("grid_size", [2, 3, 6, 7, 8, 14, 15, 22, 4096, 4097])
+    def test_every_report_is_the_same_in_blocks_of_7(self, grid_size, monkeypatch):
+        default = self.reports(grid_size)
+        monkeypatch.setattr("pdneg.analysis.GRID_BLOCK", 7)
+        assert self.reports(grid_size) == default
+
 
 class TestIndependenceProbe:
     def test_tsallis_two_is_refuted_across_contexts(self):
