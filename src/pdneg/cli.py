@@ -162,7 +162,7 @@ def _rounded(node):
 
 def _csv_text(header: list[str], records: Iterable[dict], pretty: bool) -> Iterator[str]:
     """CSV text of report records, one string per record, as the module
-    docstring describes; per-component lists of floats follow `index`."""
+    docstring describes; non-empty per-component lists of floats follow `index`."""
     number = "%.6g" if pretty else "%.17g"
     # writerow returns what its file's write returns: here the row's text.
     quoted = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
@@ -185,8 +185,7 @@ def _csv_text(header: list[str], records: Iterable[dict], pretty: bool) -> Itera
         head = "".join([cell(field) + "," for field in fields[:start]])
         tail = "".join(["," + cell(field) for field in fields[start + 1 + len(lists):]]) + "\n"
         row = ",".join(["%d"] + [number] * len(lists))
-        rows = (tail + head).join(map(row.__mod__, zip(range(1, len(lists[0]) + 1), *lists)))
-        yield head + rows + tail if rows else ""
+        yield head + (tail + head).join(map(row.__mod__, zip(range(1, len(lists[0]) + 1), *lists))) + tail
 
 
 def _emit(args, payload: dict, header: list[str], records: Iterable[dict]) -> None:

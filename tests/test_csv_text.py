@@ -58,8 +58,9 @@ scalars = st.one_of(st.none(), st.booleans(), st.integers(min_value=-(10**30), m
 @st.composite
 def reports(draw):
     """A header and records in the shape of a CLI report: scalar columns
-    around an optional `index` that the per-component columns follow.  Every
-    report has at least two columns (csv.writer quotes a lone empty field)."""
+    around an optional `index` that the non-empty per-component lists follow.
+    Every report has at least two columns (csv.writer quotes a lone empty
+    field)."""
     before = [f"b{i}" for i in range(draw(st.integers(1, 3)))]
     per_row = [f"l{i}" for i in range(draw(st.integers(0, 3)))]
     after = [f"a{i}" for i in range(draw(st.integers(1, 3)))]
@@ -69,7 +70,7 @@ def reports(draw):
         record = {name: draw(scalars) for name in header
                   if name not in per_row and name != "index" and draw(st.booleans())}
         if per_row and draw(st.booleans()):
-            length = draw(st.integers(0, 4))
+            length = draw(st.integers(1, 4))  # non-empty, like every distribution
             record.update({name: draw(st.lists(floats, min_size=length, max_size=length)) for name in per_row})
         records.append(record)
     return header, records
