@@ -30,8 +30,8 @@ from .negators import (
 
 #: Grid resolution used by default for all sweeps over [0, 1].
 DEFAULT_GRID_SIZE = 1001
-#: Default tolerance for algebraic identities.
-DEFAULT_TOLERANCE = 1e-12
+#: Default tolerance of every check here and of ``pdneg check --tol``.
+CHECK_TOLERANCE = 1e-12
 #: Hard cap on component evaluations per iterate_negation call.
 MAX_COMPONENT_EVALUATIONS = 10**6
 #: Grid points per kernel call in the grid sweeps: a sweep holds one block of
@@ -64,13 +64,12 @@ class Violation:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one property check; passes iff there are no violations.
+    """Outcome of one property check; ``passed`` is true iff there are no violations.
 
     ``grid_size`` is 0 for checks that do not sweep a grid.
     """
 
     check_name: str
-    passed: bool
     violations: tuple[Violation, ...]
     grid_size: int
     tolerance: float
@@ -78,8 +77,12 @@ class CheckReport:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.passed != (len(self.violations) == 0):
-            raise ArgumentError("passed must be True exactly when violations is empty")
+        object.__setattr__(self, "violations", tuple(self.violations))
+        object.__setattr__(self, "notes", tuple(self.notes))
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def to_dict(self) -> dict:
         report = {
@@ -119,26 +122,6 @@ class IterationTrace:
     distances_to_uniform: tuple[float, ...]
     entropies: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "steps": [list(d.values) for d in self.steps],
-            "distances_to_uniform": list(self.distances_to_uniform),
-            "entropies": list(self.entropies),
-        }
-
-
-def _report(name, violations, grid_size, tolerance, seed=None, notes=()):
-    violations = tuple(violations)
-    return CheckReport(
-        check_name=name,
-        passed=not violations,
-        violations=violations,
-        grid_size=grid_size,
-        tolerance=tolerance,
-        seed=seed,
-        notes=tuple(notes),
-    )
-
 
 def _sweep(grid_size: int, *kernels: Callable[[list[float]], list[float]]) -> Iterator[tuple[float, ...]]:
     """Each point p = k/(grid_size - 1) of the grid over [0, 1], in order, with
@@ -174,7 +157,7 @@ def _reverses_order(p: tuple[float, ...], q: tuple[float, ...], tolerance: float
     return True
 
 
-def check_negation_pair(p_dist: Distribution, q_dist: Distribution, tolerance: float = DEFAULT_TOLERANCE) -> CheckReport:
+def check_negation_pair(p_dist: Distribution, q_dist: Distribution, tolerance: float = CHECK_TOLERANCE) -> CheckReport:
     """Check that Q reverses the component order of P.
 
     Passes iff p_i <= p_j implies q_i >= q_j (within tolerance) for every
@@ -185,7 +168,7 @@ def check_negation_pair(p_dist: Distribution, q_dist: Distribution, tolerance: f
     if len(p_dist) != len(q_dist):
         raise LengthMismatch(f"lengths differ: {len(p_dist)} vs {len(q_dist)}")
     if tolerance >= 0.0 and _reverses_order(p_dist.values, q_dist.values, tolerance):
-        return _report("negation-pair", (), 0, tolerance)
+        return CheckReport("negation-pair", (), 0, tolerance)
     violations = []
     n = len(p_dist)
     for i in range(n):
@@ -195,14 +178,14 @@ def check_negation_pair(p_dist: Distribution, q_dist: Distribution, tolerance: f
                     Violation((i + 1, j + 1), expected=q_dist[j], actual=q_dist[i],
                               magnitude=q_dist[j] - q_dist[i])
                 )
-    return _report("negation-pair", violations, 0, tolerance)
+    return CheckReport("negation-pair", violations, 0, tolerance)
 
 
 def fixed_point_check(
     descriptor: NegatorDescriptor,
     n: int,
     grid_size: int = DEFAULT_GRID_SIZE,
-    tolerance: float = DEFAULT_TOLERANCE,
+    tolerance: float = CHECK_TOLERANCE,
 ) -> CheckReport:
     """Verify the fixed-point behaviour of a descriptor at length n.
 
@@ -234,17 +217,17 @@ def fixed_point_check(
                 elif p > u + tolerance and value > p:
                     violations.append(Violation(p, expected=p, actual=value, magnitude=value - p))
         else:
-            notes.append("uniqueness sweep skipped: descriptor does not claim to be a negator")
+            notes.append(f"uniqueness sweep skipped: descriptor {NegatorRequired.refusal}")
     else:
-        notes.append("pointwise checks skipped: descriptor does not claim pd-independence")
-    return _report("fixed-point", violations, grid_size, tolerance, notes=notes)
+        notes.append(f"pointwise checks skipped: descriptor {IndependenceRequired.refusal}")
+    return CheckReport("fixed-point", violations, grid_size, tolerance, notes=notes)
 
 
 def _require_claims(descriptor: NegatorDescriptor, n: int, *, negator: bool = False) -> None:
     if not descriptor.claims_pd_independent:
-        raise IndependenceRequired(f"{descriptor.spec_string()} does not claim pd-independence")
+        raise IndependenceRequired(f"{descriptor.spec_string()} {IndependenceRequired.refusal}")
     if negator and not descriptor.claims_negator:
-        raise NegatorRequired(f"{descriptor.spec_string()} does not claim to be a negator")
+        raise NegatorRequired(f"{descriptor.spec_string()} {NegatorRequired.refusal}")
     require_length(n)
 
 
@@ -269,14 +252,14 @@ def functional_equation_check(
     descriptor: NegatorDescriptor,
     n: int,
     grid_size: int = DEFAULT_GRID_SIZE,
-    tolerance: float = DEFAULT_TOLERANCE,
+    tolerance: float = CHECK_TOLERANCE,
 ) -> CheckReport:
     """Sweep the balance-identity residual over a grid."""
     violations = []
     for p, residual in _sweep(grid_size, partial(_balance_residuals, descriptor, n)):
         if residual > tolerance:
             violations.append(Violation(p, expected=0.0, actual=residual, magnitude=residual))
-    return _report("functional-equation", violations, grid_size, tolerance)
+    return CheckReport("functional-equation", violations, grid_size, tolerance)
 
 
 def _interval_violation(location, value, low, high, tolerance):
@@ -291,7 +274,7 @@ def boundary_range_check(
     descriptor: NegatorDescriptor,
     n: int,
     grid_size: int = DEFAULT_GRID_SIZE,
-    tolerance: float = DEFAULT_TOLERANCE,
+    tolerance: float = CHECK_TOLERANCE,
 ) -> CheckReport:
     """Check the admissible value ranges of a pd-independent negator.
 
@@ -319,14 +302,14 @@ def boundary_range_check(
             candidate = _interval_violation(p, value, u, high, tolerance)
             if candidate is not None:
                 violations.append(candidate)
-    return _report("boundary-range", violations, grid_size, tolerance)
+    return CheckReport("boundary-range", violations, grid_size, tolerance)
 
 
 def linearity_test(
     descriptor: NegatorDescriptor,
     n: int,
     grid_size: int = DEFAULT_GRID_SIZE,
-    tolerance: float = DEFAULT_TOLERANCE,
+    tolerance: float = CHECK_TOLERANCE,
 ) -> LinearityVerdict:
     """Decide whether a pd-independent negator is linear at length n.
 
@@ -355,7 +338,7 @@ def independence_probe(
     descriptor: NegatorDescriptor,
     p: float,
     contexts: Iterable[Distribution],
-    tolerance: float = DEFAULT_TOLERANCE,
+    tolerance: float = CHECK_TOLERANCE,
     *,
     seed: int | None = None,
 ) -> CheckReport:
@@ -384,7 +367,7 @@ def independence_probe(
             gap = abs(results[i] - results[j])
             if gap > tolerance:
                 violations.append(Violation((i + 1, j + 1), expected=results[i], actual=results[j], magnitude=gap))
-    return _report("independence-probe", violations, 0, tolerance, seed=seed, notes=notes)
+    return CheckReport("independence-probe", violations, 0, tolerance, seed=seed, notes=notes)
 
 
 def entropy_delta(descriptor: NegatorDescriptor, dist: Distribution) -> EntropyReport:
@@ -403,7 +386,7 @@ def distance_to_uniform(dist: Distribution) -> float:
 def iterate_negation(descriptor: NegatorDescriptor, dist: Distribution, steps: int) -> IterationTrace:
     """Trace of repeated negation, starting from the input distribution."""
     if not descriptor.claims_negator:
-        raise NegatorRequired(f"{descriptor.spec_string()} does not claim to be a negator")
+        raise NegatorRequired(f"{descriptor.spec_string()} {NegatorRequired.refusal}")
     if steps < 0:
         raise ArgumentError(f"steps must be >= 0, got {steps}")
     if steps * len(dist) > MAX_COMPONENT_EVALUATIONS:

@@ -36,8 +36,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .analysis import (
+    CHECK_TOLERANCE,
     DEFAULT_GRID_SIZE,
-    DEFAULT_TOLERANCE,
     MAX_COMPONENT_EVALUATIONS,
     boundary_range_check,
     contexts_containing,
@@ -65,12 +65,6 @@ EXIT_APPLICATION = 3
 
 _PROBE_CONTEXTS = 8
 _PROBE_VALUE = 0.5
-
-# A check refused because the descriptor lacks a claim it presumes is reported as skipped.
-_SKIP_REASONS = {
-    IndependenceRequired: "descriptor does not claim pd-independence",
-    NegatorRequired: "descriptor does not claim to be a negator",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +240,8 @@ def cmd_check(args) -> int:
                         ("boundary-range", boundary_range_check), ("linearity", linearity_test)):
         try:
             result = check(descriptor, args.n, grid_size=args.grid, tolerance=args.tol)
-        except tuple(_SKIP_REASONS) as exc:
-            entries.append({"skipped": True, "check_name": name, "reason": _SKIP_REASONS[type(exc)]})
+        except (IndependenceRequired, NegatorRequired) as exc:  # the descriptor lacks a claim the check presumes
+            entries.append({"skipped": True, "check_name": name, "reason": f"descriptor {exc.refusal}"})
             continue
         if name == "linearity":
             verdict = result
@@ -360,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("negator")
     check.add_argument("--n", type=int, required=True, help="distribution length to check at")
     check.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE, help="grid resolution over [0, 1]")
-    check.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE, help="check tolerance (finite, >= 0)")
+    check.add_argument("--tol", type=float, default=CHECK_TOLERANCE, help="check tolerance (finite, >= 0)")
     check.add_argument("--seed", type=int, default=0, help="seed for the randomized probe contexts")
     check.set_defaults(handler=cmd_check)
 

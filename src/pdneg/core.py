@@ -64,13 +64,6 @@ class EntropyReport:
     output_entropy: float
     delta: float
 
-    def to_dict(self) -> dict:
-        return {
-            "input_entropy": self.input_entropy,
-            "output_entropy": self.output_entropy,
-            "delta": self.delta,
-        }
-
 
 def validate_distribution(values: Iterable[float], tolerance: float = DEFAULT_TOLERANCE) -> Distribution:
     """Validate an arbitrary real sequence as a probability distribution.

@@ -5,7 +5,8 @@ callers can catch a single type.  Errors that correspond to malformed input
 additionally derive from ``ValueError`` (and the out-of-range index error
 from ``IndexError``) to stay idiomatic.  The command line exits 2 on an error
 derived from ``ValueError`` (or on ``ComponentIndexError``) and 3 on every
-other :class:`NegationError`.
+other :class:`NegationError`.  The two claim refusals state their reason
+once, as ``refusal``, for their messages, notes and the CLI's skipped checks.
 """
 
 from __future__ import annotations
@@ -78,10 +79,14 @@ class IndependenceRequired(NegationError):
     """An operation defined only for pd-independent descriptors was invoked
     on a descriptor that does not claim pd-independence."""
 
+    refusal = "does not claim pd-independence"
+
 
 class NegatorRequired(NegationError):
     """An operation defined only for negators was invoked on a descriptor
     that does not claim to be one."""
+
+    refusal = "does not claim to be a negator"
 
 
 class InternalConsistencyError(NegationError):

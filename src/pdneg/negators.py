@@ -129,7 +129,11 @@ class _LinearFamily(NegatorDescriptor):
     uses_length = True
 
     def images(self, values, n, context=None):
-        n = _require_length(self, n)
+        if n is None:
+            raise ArgumentError(
+                f"{type(self).__name__} evaluation needs the distribution length; pass n= or a context distribution"
+            )
+        require_length(n)
         head, slope = self.alpha / n, 1.0 - self.alpha
         return [head + slope * (1.0 - p) / (n - 1) for p in values]
 
@@ -300,16 +304,6 @@ def _coerce_probability(p: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _require_length(descriptor: NegatorDescriptor, n: int | None) -> int:
-    if n is None:
-        raise ArgumentError(
-            f"{type(descriptor).__name__} evaluation needs the distribution length; "
-            "pass n= or a context distribution"
-        )
-    require_length(n)
-    return n
-
-
 def evaluate(
     descriptor: NegatorDescriptor,
     p: float,
@@ -377,11 +371,11 @@ def mixture(components: Sequence[tuple[float, NegatorDescriptor]] | Iterable[tup
     return Mixture(tuple(components))
 
 
-def _snap_unit(x: float, tolerance: float = 1e-12) -> float:
+def _snap_unit(x: float) -> float:
     # Absorb float excursions just outside [0, 1] from boundary conversions.
-    if -tolerance <= x < 0.0:
+    if -1e-12 <= x < 0.0:
         return 0.0
-    if 1.0 < x <= 1.0 + tolerance:
+    if 1.0 < x <= 1.0 + 1e-12:
         return 1.0
     return x
 

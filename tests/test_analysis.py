@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from conftest import EXAMPLE_PD, normalize
 from pdneg import (
     ArgumentError,
+    CheckReport,
     ContextMismatch,
     Distribution,
     Generator,
@@ -28,6 +29,7 @@ from pdneg import (
     Tsallis,
     UNIFORM,
     YAGER,
+    Violation,
     apply_transformation,
     boundary_range_check,
     check_negation_pair,
@@ -49,6 +51,27 @@ from pdneg import (
 )
 
 EXAMPLE = validate_distribution(EXAMPLE_PD)
+
+
+class TestCheckReport:
+    def test_passed_is_derived_from_the_violations(self):
+        violation = Violation(0.5, expected=0.0, actual=1.0, magnitude=1.0)
+        assert CheckReport("demo", [], 2, 0.0).passed
+        report = CheckReport("demo", [violation], 2, 0.0, notes=["a note"])
+        assert not report.passed
+        assert (report.violations, report.notes) == ((violation,), ("a note",))
+        assert list(report.to_dict()) == [
+            "check_name", "passed", "violations", "grid_size", "tolerance", "seed", "notes"]
+        assert report.to_dict()["passed"] is False
+
+    def test_each_claim_refusal_reads_its_one_statement(self):
+        assert fixed_point_check(Tsallis(2.0), 5).notes == (
+            f"pointwise checks skipped: descriptor {IndependenceRequired.refusal}",)
+        assert fixed_point_check(IDENTITY, 5).notes == (
+            f"uniqueness sweep skipped: descriptor {NegatorRequired.refusal}",)
+        with pytest.raises(NegatorRequired) as excinfo:
+            iterate_negation(IDENTITY, EXAMPLE, 1)
+        assert str(excinfo.value) == f"identity {NegatorRequired.refusal}"
 
 
 class TestNegationPair:
@@ -269,6 +292,21 @@ class TestPointwiseCheckPreconditions:
         check(YAGER, 5, grid_size=101)
         assert calls == ends + [40, 40, 21]
 
+
+# Arguments outside their range are refused before any work, as ArgumentError.
+ARGUMENT_REFUSALS = {
+    "fixed_point_check-grid-1": (lambda: fixed_point_check(YAGER, 5, grid_size=1),
+                                 "grid_size must be at least 2, got 1"),
+    "contexts_containing-p-1": (lambda: contexts_containing(1.0, 3, 2, 0),
+                                "need 0 <= p < 1 to fill the remaining mass, got 1.0"),
+}
+
+
+@pytest.mark.parametrize("call,message", ARGUMENT_REFUSALS.values(), ids=ARGUMENT_REFUSALS)
+def test_arguments_out_of_range_are_argument_errors(call, message):
+    with pytest.raises(ArgumentError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
 
 
 def _canonical(f, n, p):

@@ -361,6 +361,12 @@ class TestEntropyCommand:
         assert results[0]["entropy"] == pytest.approx(0.70, abs=1e-12)
         assert results[1]["entropy"] == 0.8
 
+    def test_blank_lines_are_skipped_without_a_gap_in_the_labels(self, capsys, tmp_path):
+        path = write_input(tmp_path, "\n" + EXAMPLE_LINE + "\n   \n\t\n0.2 0.2 0.2 0.2 0.2\n\n")
+        code, out, _ = run(capsys, "entropy", "--input", path)
+        assert code == 0
+        assert [result["label"] for result in json.loads(out)["results"]] == ["pd1", "pd2"]
+
     def test_csv_round_trips(self, capsys, tmp_path):
         path = write_input(tmp_path, EXAMPLE_LINE)
         _, json_out, _ = run(capsys, "entropy", "--input", path)
@@ -399,6 +405,8 @@ class TestInputDocument:
             ([{"label": "a", "values": ["0.5", "0.5"]}], "'a': value #1 is \"0.5\""),
             ([{"label": "a", "values": [[0.5], 0.5]}], "'a': value #1 is [0.5]"),
             ([{"label": "a", "values": [10**400, 0]}], "'a': component 1 = inf"),
+            ([{"label": "a", "values": 0.5}], "'a' needs a 'values' list"),
+            ([{"label": "a"}], "'a' needs a 'values' list"),
         ],
     )
     def test_malformed_entries_exit_2_naming_the_entry(self, capsys, tmp_path, distributions, named):

@@ -499,3 +499,14 @@ class TestParser:
             parse_descriptor("linear:alpha=1.5")
         with pytest.raises(WeightError):
             parse_descriptor("mix:[0.5*yager,0.4*uniform]")
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [(lambda: parse_descriptor(5), "descriptor must be a string, got int"),
+         (lambda: Mixture(((1.0, "yager"),)), "mixture component 'yager' is not a descriptor")],
+        ids=["parse_descriptor-int", "Mixture-of-a-string"],
+    )
+    def test_a_value_that_is_no_descriptor_is_a_descriptor_error(self, build, message):
+        with pytest.raises(DescriptorError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
