@@ -5,16 +5,23 @@ balance equation for pd-independent functions, boundary ranges, linearity)
 are checked on dense grids over [0, 1] and on randomized distributions.
 Every check returns a :class:`CheckReport` listing each violation with its
 location and magnitude; a report passes exactly when it has no violations.
+
+The four grid checks (fixed point, balance identity, boundary ranges,
+linearity) share one sweep of the grid, in blocks of GRID_BLOCK points:
+:func:`grid_checks` runs all four and maps each grid point through N once,
+and once more at Yager's Y(p) for the balance identity.  Each public check
+runs the same sweep with itself alone.  A check's preconditions and one-off
+evaluations, such as N(1/n), N(0) and N(1), run before the sweep.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable, Iterator
+from typing import Iterable
 
 from .core import Distribution, EntropyReport, entropy, require_length, uniform_distribution
 from .errors import ArgumentError, ContextMismatch, IndependenceRequired, LengthMismatch, NegatorRequired
@@ -34,9 +41,9 @@ DEFAULT_GRID_SIZE = 1001
 CHECK_TOLERANCE = 1e-12
 #: Hard cap on component evaluations per iterate_negation call.
 MAX_COMPONENT_EVALUATIONS = 10**6
-#: Grid points per kernel call in the grid sweeps: a sweep holds one block of
-#: points and images at a time, whatever the grid size.
-GRID_BLOCK = 4096
+#: Grid points per kernel call in the grid sweeps: a sweep holds one block's
+#: points, images and balance residuals at a time, whatever the grid size.
+GRID_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -123,23 +130,6 @@ class IterationTrace:
     entropies: tuple[float, ...]
 
 
-def _sweep(grid_size: int, *kernels: Callable[[list[float]], list[float]]) -> Iterator[tuple[float, ...]]:
-    """Each point p = k/(grid_size - 1) of the grid over [0, 1], in order, with
-    its value under each kernel.  The kernels map a block of at most
-    GRID_BLOCK points at a time; every kernel without a context maps value by
-    value, so the values do not depend on the block size.  The grid size is
-    checked at the call, the kernels run as the sweep is read."""
-    if grid_size < 2:
-        raise ArgumentError(f"grid_size must be at least 2, got {grid_size}")
-    last = grid_size - 1
-
-    def block(start: int) -> Iterator[tuple[float, ...]]:
-        ps = [k / last for k in range(start, min(start + GRID_BLOCK, grid_size))]
-        return zip(ps, *(kernel(ps) for kernel in kernels))
-
-    return itertools.chain.from_iterable(map(block, range(0, grid_size, GRID_BLOCK)))
-
-
 def _reverses_order(p: tuple[float, ...], q: tuple[float, ...], tolerance: float) -> bool:
     # Sweep the components from the largest p down, in groups of equal p,
     # keeping the largest q seen at a strictly larger p.  A group violates
@@ -181,6 +171,108 @@ def check_negation_pair(p_dist: Distribution, q_dist: Distribution, tolerance: f
     return CheckReport("negation-pair", violations, 0, tolerance)
 
 
+def _require_grid(grid_size: int, least: int = 2) -> None:
+    if grid_size < least:
+        raise ArgumentError(f"grid_size must be at least {least}, got {grid_size}")
+
+
+def _require_claims(descriptor: NegatorDescriptor, n: int, *, negator: bool = False) -> None:
+    if not descriptor.claims_pd_independent:
+        raise IndependenceRequired(f"{descriptor.spec_string()} {IndependenceRequired.refusal}")
+    if negator and not descriptor.claims_negator:
+        raise NegatorRequired(f"{descriptor.spec_string()} {NegatorRequired.refusal}")
+    require_length(n)
+
+
+def _balance(descriptor: NegatorDescriptor, n: int, ps: list[float]) -> tuple[list[float], list[float]]:
+    """N at each value, and the balance residual |N(Y(p)) - Y(N(p))| there."""
+    crossed = descriptor.images(YAGER.images(ps, n), n)
+    images = descriptor.images(ps, n)
+    return images, [abs(a - b) for a, b in zip(crossed, YAGER.images(images, n))]
+
+
+class _GridCheck:
+    """One grid check, in the three stages of the sweep that all grid checks share.
+
+    The constructor runs the check's preconditions and one-off evaluations
+    and raises its refusals.  ``read(points, images, residuals)`` then takes
+    each block of the sweep in order: the block's grid points, N at each, and
+    the balance residuals (None unless the check sets ``balance``).  A check
+    whose ``sweeps`` is false reads no block.  ``result()`` returns what the
+    check's public function returns, by default a report of the check's
+    ``violations`` over ``grid_size`` points at ``tolerance``.
+    """
+
+    name: str
+    sweeps = True
+    balance = False
+    notes: list[str] | tuple[str, ...] = ()
+
+    def result(self):
+        return CheckReport(self.name, self.violations, self.grid_size, self.tolerance, notes=self.notes)
+
+
+def _sweep(descriptor: NegatorDescriptor, n: int, grid_size: int, checks: list[_GridCheck]) -> None:
+    """Pass every point p = k/(grid_size - 1) of the grid over [0, 1], in order,
+    to each check that sweeps, in blocks of at most GRID_BLOCK points.
+
+    A block's points are built once and mapped by one kernel call; when a
+    check reads the balance residuals, the block also goes through N once at
+    Y(p).  Every kernel without a context maps value by value, so no result
+    depends on the block size.
+    """
+    readers = [check for check in checks if check.sweeps]
+    if not readers:
+        return
+    balance = any(check.balance for check in readers)
+    last = grid_size - 1
+    for start in range(0, grid_size, GRID_BLOCK):
+        points = [k / last for k in range(start, min(start + GRID_BLOCK, grid_size))]
+        images, residuals = _balance(descriptor, n, points) if balance else (descriptor.images(points, n), None)
+        for check in readers:
+            check.read(points, images, residuals)
+
+
+def _alone(check_type: type[_GridCheck], descriptor: NegatorDescriptor, n: int, grid_size: int, tolerance: float):
+    check = check_type(descriptor, n, grid_size, tolerance)
+    _sweep(descriptor, n, grid_size, [check])
+    return check.result()
+
+
+class _FixedPoint(_GridCheck):
+    name = "fixed-point"
+
+    def __init__(self, descriptor, n, grid_size, tolerance):
+        image = apply_transformation(descriptor, uniform_distribution(n))
+        self.u = u = 1.0 / n
+        self.grid_size, self.tolerance = grid_size, tolerance
+        self.violations = [Violation(index + 1, expected=u, actual=value, magnitude=abs(value - u))
+                           for index, value in enumerate(image.values) if abs(value - u) > tolerance]
+        self.notes = []
+        self.sweeps = descriptor.claims_pd_independent and descriptor.claims_negator
+        if descriptor.claims_pd_independent:
+            at_u = evaluate(descriptor, u, n=n)
+            if abs(at_u - u) > tolerance:
+                self.violations.append(Violation(u, expected=u, actual=at_u, magnitude=abs(at_u - u)))
+            if descriptor.claims_negator:
+                _require_grid(grid_size)
+            else:
+                self.notes.append(f"uniqueness sweep skipped: descriptor {NegatorRequired.refusal}")
+        else:
+            self.notes.append(f"pointwise checks skipped: descriptor {IndependenceRequired.refusal}")
+
+    def read(self, points, images, residuals):
+        u, tolerance, violations = self.u, self.tolerance, self.violations
+        for p, value in zip(points, images):
+            if abs(value - p) <= tolerance:
+                if abs(p - u) > tolerance:
+                    violations.append(Violation(p, expected=u, actual=p, magnitude=abs(p - u)))
+            elif p < u - tolerance and value < p:
+                violations.append(Violation(p, expected=p, actual=value, magnitude=p - value))
+            elif p > u + tolerance and value > p:
+                violations.append(Violation(p, expected=p, actual=value, magnitude=value - p))
+
+
 def fixed_point_check(
     descriptor: NegatorDescriptor,
     n: int,
@@ -196,45 +288,7 @@ def fixed_point_check(
     elsewhere N(p) - p has the correct sign (positive below 1/n, negative
     above).
     """
-    image = apply_transformation(descriptor, uniform_distribution(n))
-    violations = []
-    notes = []
-    u = 1.0 / n
-    for index, value in enumerate(image.values):
-        if abs(value - u) > tolerance:
-            violations.append(Violation(index + 1, expected=u, actual=value, magnitude=abs(value - u)))
-    if descriptor.claims_pd_independent:
-        at_u = evaluate(descriptor, u, n=n)
-        if abs(at_u - u) > tolerance:
-            violations.append(Violation(u, expected=u, actual=at_u, magnitude=abs(at_u - u)))
-        if descriptor.claims_negator:
-            for p, value in _sweep(grid_size, partial(descriptor.images, n=n)):
-                if abs(value - p) <= tolerance:
-                    if abs(p - u) > tolerance:
-                        violations.append(Violation(p, expected=u, actual=p, magnitude=abs(p - u)))
-                elif p < u - tolerance and value < p:
-                    violations.append(Violation(p, expected=p, actual=value, magnitude=p - value))
-                elif p > u + tolerance and value > p:
-                    violations.append(Violation(p, expected=p, actual=value, magnitude=value - p))
-        else:
-            notes.append(f"uniqueness sweep skipped: descriptor {NegatorRequired.refusal}")
-    else:
-        notes.append(f"pointwise checks skipped: descriptor {IndependenceRequired.refusal}")
-    return CheckReport("fixed-point", violations, grid_size, tolerance, notes=notes)
-
-
-def _require_claims(descriptor: NegatorDescriptor, n: int, *, negator: bool = False) -> None:
-    if not descriptor.claims_pd_independent:
-        raise IndependenceRequired(f"{descriptor.spec_string()} {IndependenceRequired.refusal}")
-    if negator and not descriptor.claims_negator:
-        raise NegatorRequired(f"{descriptor.spec_string()} {NegatorRequired.refusal}")
-    require_length(n)
-
-
-def _balance_residuals(descriptor: NegatorDescriptor, n: int, ps: list[float]) -> list[float]:
-    _require_claims(descriptor, n)
-    lhs = descriptor.images(YAGER.images(ps, n), n)
-    return [abs(a - b) for a, b in zip(lhs, YAGER.images(descriptor.images(ps, n), n))]
+    return _alone(_FixedPoint, descriptor, n, grid_size, tolerance)
 
 
 def functional_equation_residual(descriptor: NegatorDescriptor, n: int, p: float) -> float:
@@ -245,7 +299,25 @@ def functional_equation_residual(descriptor: NegatorDescriptor, n: int, p: float
     N(q) = (1 - N(p))/(n - 1), i.e. N commutes with Y at length n; the
     returned value is |N(Y(p)) - Y(N(p))|, zero in exact arithmetic.
     """
-    return _balance_residuals(descriptor, n, [_coerce_probability(p)])[0]
+    ps = [_coerce_probability(p)]
+    _require_claims(descriptor, n)
+    return _balance(descriptor, n, ps)[1][0]
+
+
+class _FunctionalEquation(_GridCheck):
+    name = "functional-equation"
+    balance = True
+
+    def __init__(self, descriptor, n, grid_size, tolerance):
+        _require_grid(grid_size)
+        _require_claims(descriptor, n)
+        self.grid_size, self.tolerance = grid_size, tolerance
+        self.violations = []
+
+    def read(self, points, images, residuals):
+        tolerance = self.tolerance
+        self.violations.extend(Violation(p, expected=0.0, actual=residual, magnitude=residual)
+                               for p, residual in zip(points, residuals) if residual > tolerance)
 
 
 def functional_equation_check(
@@ -255,11 +327,7 @@ def functional_equation_check(
     tolerance: float = CHECK_TOLERANCE,
 ) -> CheckReport:
     """Sweep the balance-identity residual over a grid."""
-    violations = []
-    for p, residual in _sweep(grid_size, partial(_balance_residuals, descriptor, n)):
-        if residual > tolerance:
-            violations.append(Violation(p, expected=0.0, actual=residual, magnitude=residual))
-    return CheckReport("functional-equation", violations, grid_size, tolerance)
+    return _alone(_FunctionalEquation, descriptor, n, grid_size, tolerance)
 
 
 def _interval_violation(location, value, low, high, tolerance):
@@ -268,6 +336,33 @@ def _interval_violation(location, value, low, high, tolerance):
     if value > high + tolerance:
         return Violation(location, expected=high, actual=value, magnitude=value - high)
     return None
+
+
+class _BoundaryRange(_GridCheck):
+    name = "boundary-range"
+
+    def __init__(self, descriptor, n, grid_size, tolerance):
+        _require_claims(descriptor, n, negator=True)
+        _require_grid(grid_size)
+        self.u, self.high = 1.0 / n, 1.0 / (n - 1)
+        self.grid_size, self.tolerance = grid_size, tolerance
+        self.violations = []
+        at_zero, at_one = descriptor.images([0.0, 1.0], n)
+        tied = (1.0 - at_one) / (n - 1)
+        if abs(at_zero - tied) > tolerance:
+            self.violations.append(Violation(0.0, expected=tied, actual=at_zero, magnitude=abs(at_zero - tied)))
+
+    def read(self, points, images, residuals):
+        u, high, tolerance, violations = self.u, self.high, self.tolerance, self.violations
+        for p, value in zip(points, images):
+            if p >= u:
+                candidate = _interval_violation(p, value, 0.0, u, tolerance)
+                if candidate is not None:
+                    violations.append(candidate)
+            if p <= u:
+                candidate = _interval_violation(p, value, u, high, tolerance)
+                if candidate is not None:
+                    violations.append(candidate)
 
 
 def boundary_range_check(
@@ -284,25 +379,33 @@ def boundary_range_check(
     N(1) in [0, 1/n] and N(0) in [1/n, 1/(n-1)] are checked once each, as
     the sweep's first and last points.
     """
-    _require_claims(descriptor, n, negator=True)
-    u = 1.0 / n
-    high = 1.0 / (n - 1)
-    violations = []
-    sweep = _sweep(grid_size, partial(descriptor.images, n=n))  # checks the grid size before N(0), N(1)
-    at_zero, at_one = descriptor.images([0.0, 1.0], n)
-    tied = (1.0 - at_one) / (n - 1)
-    if abs(at_zero - tied) > tolerance:
-        violations.append(Violation(0.0, expected=tied, actual=at_zero, magnitude=abs(at_zero - tied)))
-    for p, value in sweep:
-        if p >= u:
-            candidate = _interval_violation(p, value, 0.0, u, tolerance)
-            if candidate is not None:
-                violations.append(candidate)
-        if p <= u:
-            candidate = _interval_violation(p, value, u, high, tolerance)
-            if candidate is not None:
-                violations.append(candidate)
-    return CheckReport("boundary-range", violations, grid_size, tolerance)
+    return _alone(_BoundaryRange, descriptor, n, grid_size, tolerance)
+
+
+class _Linearity(_GridCheck):
+    name = "linearity"
+
+    def __init__(self, descriptor, n, grid_size, tolerance):
+        _require_claims(descriptor, n, negator=True)
+        _require_grid(grid_size, 3)
+        self.n, self.tolerance = n, tolerance
+        raw = n * descriptor.images([1.0], n)[0]
+        alpha = min(max(raw, 0.0), 1.0)
+        # An n N(1) that leaves [0, 1] by more than the tolerance is no linear negator's alpha.
+        self.sweeps = not abs(alpha - raw) > tolerance
+        self.line = Linear(alpha) if self.sweeps else None
+        self.max_residual = 0.0 if self.sweeps else math.inf
+
+    def read(self, points, images, residuals):
+        on_line = self.line.images(points, self.n)
+        self.max_residual = max(self.max_residual, *map(abs, map(operator.sub, images, on_line)))
+
+    def result(self):
+        return LinearityVerdict(
+            is_linear=self.max_residual <= self.tolerance,
+            alpha_estimate=None if self.line is None else self.line.alpha,
+            max_residual=self.max_residual,
+        )
 
 
 def linearity_test(
@@ -317,21 +420,38 @@ def linearity_test(
     giving alpha = n N(1); the verdict reports the worst grid residual
     against alpha/n + (1 - alpha)(1 - p)/(n - 1).
     """
-    _require_claims(descriptor, n, negator=True)
-    if grid_size < 3:
-        raise ArgumentError(f"grid_size must be at least 3, got {grid_size}")
-    raw = n * descriptor.images([1.0], n)[0]
-    alpha = min(max(raw, 0.0), 1.0)
-    if abs(alpha - raw) > tolerance:
-        return LinearityVerdict(is_linear=False, alpha_estimate=None, max_residual=math.inf)
-    max_residual = 0.0
-    for _, value, on_line in _sweep(grid_size, partial(descriptor.images, n=n), partial(Linear(alpha).images, n=n)):
-        max_residual = max(max_residual, abs(value - on_line))
-    return LinearityVerdict(
-        is_linear=max_residual <= tolerance,
-        alpha_estimate=alpha,
-        max_residual=max_residual,
-    )
+    return _alone(_Linearity, descriptor, n, grid_size, tolerance)
+
+
+#: The grid checks, in the order pdneg check runs and reports them.
+_GRID_CHECKS = (_FixedPoint, _FunctionalEquation, _BoundaryRange, _Linearity)
+
+
+def grid_checks(
+    descriptor: NegatorDescriptor,
+    n: int,
+    grid_size: int = DEFAULT_GRID_SIZE,
+    tolerance: float = CHECK_TOLERANCE,
+) -> dict[str, CheckReport | LinearityVerdict | IndependenceRequired | NegatorRequired]:
+    """The four grid checks in one sweep of the grid.
+
+    Maps each check's name ("fixed-point", "functional-equation",
+    "boundary-range", "linearity") to what its public function returns, or
+    to the IndependenceRequired or NegatorRequired it refuses the
+    descriptor with; any other error is raised.  The checks' preconditions
+    and one-off evaluations run in that order before the sweep, which maps
+    each grid point through N once, and once more at Yager's Y(p) when the
+    balance identity applies.
+    """
+    started: dict[str, _GridCheck | IndependenceRequired | NegatorRequired] = {}
+    for check_type in _GRID_CHECKS:
+        try:
+            started[check_type.name] = check_type(descriptor, n, grid_size, tolerance)
+        except (IndependenceRequired, NegatorRequired) as exc:  # the descriptor lacks a claim the check presumes
+            started[check_type.name] = exc
+    checks = [check for check in started.values() if isinstance(check, _GridCheck)]
+    _sweep(descriptor, n, grid_size, checks)
+    return {name: check.result() if isinstance(check, _GridCheck) else check for name, check in started.items()}
 
 
 def independence_probe(
@@ -354,7 +474,7 @@ def independence_probe(
     contexts = tuple(contexts)
     groups: dict[int | None, list[int]] = {}
     for index, context in enumerate(contexts):
-        if min(abs(c - p) for c in context.values) > CONTEXT_TOLERANCE:
+        if p not in context.values and min(abs(c - p) for c in context.values) > CONTEXT_TOLERANCE:
             raise ContextMismatch(f"context #{index + 1} has no component equal to {p!r}")
         groups.setdefault(len(context) if descriptor.uses_length else None, []).append(index)
     notes = []

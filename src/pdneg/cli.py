@@ -16,7 +16,9 @@ its scalars are formatted once (text quoted by csv.writer) and repeated on
 each of its rows, and the numbers of a row are one %-format, so a label is
 never read as a format.  check writes one row per check.  negate and
 iterate parse the descriptor once per distinct distribution length.
-check's --tol must be finite and >= 0, its --grid at least 2.
+check's --tol must be finite and >= 0, its --grid at least 2, and at least 3
+when the linearity check applies (to a negator claiming pd-independence);
+both are refused before the grid is swept, once for all four grid checks.
 
 Exit status: 0 success, 1 a check failed (report still emitted), 2 usage,
 parse or validation failure (errors derived from ValueError, a component
@@ -39,13 +41,10 @@ from .analysis import (
     CHECK_TOLERANCE,
     DEFAULT_GRID_SIZE,
     MAX_COMPONENT_EVALUATIONS,
-    boundary_range_check,
     contexts_containing,
-    fixed_point_check,
-    functional_equation_check,
+    grid_checks,
     independence_probe,
     iterate_negation,
-    linearity_test,
 )
 from .core import Distribution, entropy, validate_distribution
 from .errors import (
@@ -235,15 +234,10 @@ def cmd_check(args) -> int:
     descriptor = parse_descriptor(args.negator, n=args.n)
     entries = []
     verdict = None
-    # Built per call from the module's current names, so a patched check is the one that runs.
-    for name, check in (("fixed-point", fixed_point_check), ("functional-equation", functional_equation_check),
-                        ("boundary-range", boundary_range_check), ("linearity", linearity_test)):
-        try:
-            result = check(descriptor, args.n, grid_size=args.grid, tolerance=args.tol)
-        except (IndependenceRequired, NegatorRequired) as exc:  # the descriptor lacks a claim the check presumes
-            entries.append({"skipped": True, "check_name": name, "reason": f"descriptor {exc.refusal}"})
-            continue
-        if name == "linearity":
+    for name, result in grid_checks(descriptor, args.n, grid_size=args.grid, tolerance=args.tol).items():
+        if isinstance(result, (IndependenceRequired, NegatorRequired)):  # a claim the check presumes is missing
+            entries.append({"skipped": True, "check_name": name, "reason": f"descriptor {result.refusal}"})
+        elif name == "linearity":
             verdict = result
         else:
             entries.append({"skipped": False, **result.to_dict()})

@@ -147,8 +147,8 @@ class _Normalised(NegatorDescriptor):
         if context is values:
             numerators = self.numerators(values)
             return self._normalise(numerators, numerators)
-        for p in values:
-            if min(abs(c - p) for c in context) > CONTEXT_TOLERANCE:
+        for p in values:  # an exact match first; the tolerance scan only without one
+            if p not in context and min(abs(c - p) for c in context) > CONTEXT_TOLERANCE:
                 raise ContextMismatch(f"{p!r} is not a component of the context distribution")
         terms = self.numerators([min(max(c, 0.0), 1.0) for c in context])
         return self._normalise(self.numerators(values), terms)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,12 +25,14 @@ from pdneg import (
     Linear,
     LinearityVerdict,
     NegationError,
+    NegatorDescriptor,
     NegatorRequired,
     ROOT_SUM,
     Tsallis,
     UNIFORM,
     YAGER,
     Violation,
+    analysis,
     apply_transformation,
     boundary_range_check,
     check_negation_pair,
@@ -39,16 +42,19 @@ from pdneg import (
     fixed_point_check,
     functional_equation_check,
     functional_equation_residual,
+    grid_checks,
     independence_probe,
     iterate_negation,
     linear_from_alpha,
     linear_from_boundary,
     linearity_test,
     mixture,
+    parse_descriptor,
     sample_distributions,
     uniform_distribution,
     validate_distribution,
 )
+from pdneg.cli import main
 
 EXAMPLE = validate_distribution(EXAMPLE_PD)
 
@@ -363,8 +369,28 @@ class TestCheckFailurePaths:
         verdict = linearity_test(self.RISING, 5)
         assert verdict == LinearityVerdict(is_linear=False, alpha_estimate=None, max_residual=math.inf)
 
+
+class _Counted(NegatorDescriptor):
+    """A descriptor that counts the values its kernel maps and otherwise acts as ``inner``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.claims_negator = inner.claims_negator
+        self.claims_pd_independent = inner.claims_pd_independent
+        self.uses_length = inner.uses_length
+        self.mapped = 0
+
+    def spec_string(self):
+        return self.inner.spec_string()
+
+    def images(self, values, n, context=None):
+        self.mapped += len(values)
+        return self.inner.images(values, n, context)
+
+
 class TestGridBlocks:
-    """The grid checks sweep GRID_BLOCK points per kernel call; no report depends on it."""
+    """The grid checks sweep GRID_BLOCK points per kernel call, all four in one
+    pass; no report depends on the block size or on which checks share the pass."""
 
     DESCRIPTORS = [
         YAGER, UNIFORM, Linear(0.3), IDENTITY, ROOT_SUM, Tsallis(2.0),
@@ -373,22 +399,81 @@ class TestGridBlocks:
     ]
     CHECKS = [fixed_point_check, functional_equation_check, boundary_range_check, linearity_test]
 
+    @staticmethod
+    def outcome(result):
+        return (type(result), str(result)) if isinstance(result, NegationError) else repr(result)
+
+    def alone(self, descriptor, grid_size):
+        out = []
+        for check in self.CHECKS:
+            try:
+                out.append(self.outcome(check(descriptor, 5, grid_size=grid_size)))
+            except NegationError as exc:
+                out.append(self.outcome(exc))
+        return out
+
+    def together(self, descriptor, grid_size):
+        try:
+            return [self.outcome(result) for result in grid_checks(descriptor, 5, grid_size=grid_size).values()]
+        except NegationError as exc:
+            return self.outcome(exc)
+
     def reports(self, grid_size):
         out = []
         for descriptor in self.DESCRIPTORS:
-            for check in self.CHECKS:
-                try:
-                    out.append(repr(check(descriptor, 5, grid_size=grid_size)))
-                except NegationError as exc:
-                    out.append(repr(exc))
+            alone = self.alone(descriptor, grid_size)
+            # The pass raises the first error of a check run alone that is no claim refusal.
+            errors = [o for o in alone if isinstance(o, tuple) and o[0] not in (IndependenceRequired, NegatorRequired)]
+            assert self.together(descriptor, grid_size) == (errors[0] if errors else alone)
+            out.extend(alone)
         return out
 
     # Around multiples of 7 and of the default block size.
-    @pytest.mark.parametrize("grid_size", [2, 3, 6, 7, 8, 14, 15, 22, 4096, 4097])
-    def test_every_report_is_the_same_in_blocks_of_7(self, grid_size, monkeypatch):
+    @pytest.mark.parametrize("grid_size", [2, 3, 6, 7, 8, 14, 15, 22, 2048, 2049, 4096, 4097])
+    def test_every_report_is_the_same_in_blocks_of_7_and_in_one_pass(self, grid_size, monkeypatch):
         default = self.reports(grid_size)
         monkeypatch.setattr("pdneg.analysis.GRID_BLOCK", 7)
         assert self.reports(grid_size) == default
+
+    @staticmethod
+    def points_mapped(monkeypatch, *argv):
+        """The exit code of ``pdneg check`` and the number of values its descriptor's kernel mapped."""
+        counted = []
+
+        def parse(text, n=None):
+            counted.append(_Counted(parse_descriptor(text, n=n)))
+            return counted[-1]
+
+        monkeypatch.setattr("pdneg.cli.parse_descriptor", parse)
+        return main(["check", *argv]), counted[0].mapped
+
+    @pytest.mark.parametrize("spec", ["yager", "mix:[0.3*linear:alpha=0.2,0.7*yager]"])
+    def test_a_check_run_maps_each_grid_point_at_most_twice(self, spec, monkeypatch, capsys):
+        grid = 1001
+        code, mapped = self.points_mapped(monkeypatch, spec, "--n", "5", "--grid", str(grid))
+        assert code == 0
+        # N at p and at Yager's Y(p); besides the grid, N maps the uniform distribution,
+        # 1/n, N(0) and N(1) for the boundary range, N(1) for linearity and the probe's 8 contexts.
+        assert mapped <= 2 * grid + 20
+
+    def test_a_grid_too_small_for_linearity_is_refused_before_the_sweep(self, monkeypatch, capsys):
+        # Only the one-off values: the uniform distribution, 1/n, and N(0) and N(1) for the
+        # boundary range; linearity refuses the grid before it maps N(1).
+        assert self.points_mapped(monkeypatch, "yager", "--n", "5", "--grid", "2") == (2, 5 + 1 + 2)
+
+    @pytest.mark.parametrize("descriptor", [YAGER, mixture([(0.3, Linear(0.2)), (0.7, YAGER)])])
+    def test_the_pass_holds_one_block(self, descriptor, monkeypatch):
+        monkeypatch.setattr("pdneg.analysis.GRID_BLOCK", 512)  # a smaller block, for the test's time
+
+        def peak(grid_size):
+            tracemalloc.start()
+            try:
+                grid_checks(descriptor, 5, grid_size=grid_size)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(50 * analysis.GRID_BLOCK) <= 1.5 * peak(2 * analysis.GRID_BLOCK)
 
 
 class TestIndependenceProbe:
@@ -437,6 +522,12 @@ class TestIndependenceProbe:
     def test_context_must_contain_the_value(self):
         with pytest.raises(ContextMismatch):
             independence_probe(Tsallis(2.0), 0.4, [Distribution((0.5, 0.5))])
+
+    @pytest.mark.parametrize("offset", [0.0, 5e-13, -5e-13])
+    def test_a_value_within_the_context_tolerance_is_a_component(self, offset):
+        assert independence_probe(YAGER, 0.5 + offset, [Distribution((0.5, 0.5)), Distribution((0.5, 0.5))]).passed
+        with pytest.raises(ContextMismatch):
+            independence_probe(YAGER, 0.5 + offset + 1e-11, [Distribution((0.5, 0.5))])
 
     def test_generated_contexts_share_the_probed_component(self):
         contexts = contexts_containing(0.5, 4, 6, seed=3)

@@ -124,6 +124,13 @@ class TestEvaluate:
         with pytest.raises(ContextMismatch):
             evaluate(Tsallis(2.0), 0.4, context=Distribution((0.5, 0.5)))
 
+    # A value that is not exactly a component still is one within the context tolerance.
+    @pytest.mark.parametrize("offset", [0.0, 5e-13, -5e-13])
+    def test_a_value_within_the_context_tolerance_is_a_component(self, offset):
+        assert evaluate(Tsallis(2.0), 0.5 + offset, context=Distribution((0.5, 0.5))) == pytest.approx(0.5, abs=1e-11)
+        with pytest.raises(ContextMismatch):
+            evaluate(Tsallis(2.0), 0.5 + offset + 1e-11, context=Distribution((0.5, 0.5)))
+
     def test_length_required_for_length_dependent_descriptors(self):
         with pytest.raises(ArgumentError):
             evaluate(UNIFORM, 0.5)
