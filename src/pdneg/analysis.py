@@ -194,8 +194,10 @@ def _balance(descriptor: NegatorDescriptor, n: int, ps: list[float]) -> tuple[li
 class _GridCheck:
     """One grid check, in the three stages of the sweep that all grid checks share.
 
-    The constructor runs the check's preconditions and one-off evaluations
-    and raises its refusals.  ``read(points, images, residuals)`` then takes
+    A subclass's constructor runs the check's preconditions, which raise its
+    refusals, and its one-off evaluations; once the preconditions hold it
+    calls this constructor, which holds the grid size, the tolerance and the
+    violations found so far.  ``read(points, images, residuals)`` then takes
     each block of the sweep in order: the block's grid points, N at each, and
     the balance residuals (None unless the check sets ``balance``).  A check
     whose ``sweeps`` is false reads no block.  ``result()`` returns what the
@@ -207,6 +209,10 @@ class _GridCheck:
     sweeps = True
     balance = False
     notes: list[str] | tuple[str, ...] = ()
+
+    def __init__(self, grid_size: int, tolerance: float) -> None:
+        self.grid_size, self.tolerance = grid_size, tolerance
+        self.violations: list[Violation] = []
 
     def result(self):
         return CheckReport(self.name, self.violations, self.grid_size, self.tolerance, notes=self.notes)
@@ -244,10 +250,10 @@ class _FixedPoint(_GridCheck):
 
     def __init__(self, descriptor, n, grid_size, tolerance):
         image = apply_transformation(descriptor, uniform_distribution(n))
+        super().__init__(grid_size, tolerance)
         self.u = u = 1.0 / n
-        self.grid_size, self.tolerance = grid_size, tolerance
-        self.violations = [Violation(index + 1, expected=u, actual=value, magnitude=abs(value - u))
-                           for index, value in enumerate(image.values) if abs(value - u) > tolerance]
+        self.violations.extend(Violation(index + 1, expected=u, actual=value, magnitude=abs(value - u))
+                               for index, value in enumerate(image.values) if abs(value - u) > tolerance)
         self.notes = []
         self.sweeps = descriptor.claims_pd_independent and descriptor.claims_negator
         if descriptor.claims_pd_independent:
@@ -311,8 +317,7 @@ class _FunctionalEquation(_GridCheck):
     def __init__(self, descriptor, n, grid_size, tolerance):
         _require_grid(grid_size)
         _require_claims(descriptor, n)
-        self.grid_size, self.tolerance = grid_size, tolerance
-        self.violations = []
+        super().__init__(grid_size, tolerance)
 
     def read(self, points, images, residuals):
         tolerance = self.tolerance
@@ -344,9 +349,8 @@ class _BoundaryRange(_GridCheck):
     def __init__(self, descriptor, n, grid_size, tolerance):
         _require_claims(descriptor, n, negator=True)
         _require_grid(grid_size)
+        super().__init__(grid_size, tolerance)
         self.u, self.high = 1.0 / n, 1.0 / (n - 1)
-        self.grid_size, self.tolerance = grid_size, tolerance
-        self.violations = []
         at_zero, at_one = descriptor.images([0.0, 1.0], n)
         tied = (1.0 - at_one) / (n - 1)
         if abs(at_zero - tied) > tolerance:
@@ -388,7 +392,8 @@ class _Linearity(_GridCheck):
     def __init__(self, descriptor, n, grid_size, tolerance):
         _require_claims(descriptor, n, negator=True)
         _require_grid(grid_size, 3)
-        self.n, self.tolerance = n, tolerance
+        super().__init__(grid_size, tolerance)
+        self.n = n
         raw = n * descriptor.images([1.0], n)[0]
         alpha = min(max(raw, 0.0), 1.0)
         # An n N(1) that leaves [0, 1] by more than the tolerance is no linear negator's alpha.
@@ -441,7 +446,8 @@ def grid_checks(
     descriptor with; any other error is raised.  The checks' preconditions
     and one-off evaluations run in that order before the sweep, which maps
     each grid point through N once, and once more at Yager's Y(p) when the
-    balance identity applies.
+    balance identity applies.  ``pdneg check`` runs the checks this way; the
+    package exports only the four public checks, which raise their refusals.
     """
     started: dict[str, _GridCheck | IndependenceRequired | NegatorRequired] = {}
     for check_type in _GRID_CHECKS:

@@ -42,7 +42,6 @@ from pdneg import (
     fixed_point_check,
     functional_equation_check,
     functional_equation_residual,
-    grid_checks,
     independence_probe,
     iterate_negation,
     linear_from_alpha,
@@ -54,6 +53,7 @@ from pdneg import (
     uniform_distribution,
     validate_distribution,
 )
+from pdneg.analysis import grid_checks
 from pdneg.cli import main
 
 EXAMPLE = validate_distribution(EXAMPLE_PD)
