@@ -8,10 +8,12 @@ location and magnitude; a report passes exactly when it has no violations.
 
 The four grid checks (fixed point, balance identity, boundary ranges,
 linearity) share one sweep of the grid, in blocks of GRID_BLOCK points:
-:func:`grid_checks` runs all four and maps each grid point through N once,
-and once more at Yager's Y(p) for the balance identity.  Each public check
-runs the same sweep with itself alone.  A check's preconditions and one-off
-evaluations, such as N(1/n), N(0) and N(1), run before the sweep.
+it maps each grid point through N once, and once more at Yager's Y(p) for
+the balance identity.  Each public check runs the same sweep with itself
+alone; :func:`audit`, the one plan of ``pdneg check``, runs all four in one
+sweep and then the independence probe.  A check's preconditions and one-off
+evaluations, such as N(1/n), N(0) and N(1), run before the sweep.  Every
+check refuses a tolerance that is not a finite number >= 0.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .core import Distribution, EntropyReport, entropy, require_length, uniform_distribution
 from .errors import ArgumentError, ContextMismatch, IndependenceRequired, LengthMismatch, NegatorRequired
@@ -135,7 +138,7 @@ def _reverses_order(p: tuple[float, ...], q: tuple[float, ...], tolerance: float
     # keeping the largest q seen at a strictly larger p.  A group violates
     # the order iff its smallest q lies more than the tolerance below that
     # running maximum or below the largest q of the group itself (equal p
-    # constrain both ways).  Needs tolerance >= 0, so that i = j never counts.
+    # constrain both ways).
     higher = -math.inf
     order = sorted(range(len(p)), key=p.__getitem__, reverse=True)
     for _, group in itertools.groupby(order, key=p.__getitem__):
@@ -157,7 +160,8 @@ def check_negation_pair(p_dist: Distribution, q_dist: Distribution, tolerance: f
     """
     if len(p_dist) != len(q_dist):
         raise LengthMismatch(f"lengths differ: {len(p_dist)} vs {len(q_dist)}")
-    if tolerance >= 0.0 and _reverses_order(p_dist.values, q_dist.values, tolerance):
+    _require_tolerance(tolerance)
+    if _reverses_order(p_dist.values, q_dist.values, tolerance):
         return CheckReport("negation-pair", (), 0, tolerance)
     violations = []
     n = len(p_dist)
@@ -169,6 +173,11 @@ def check_negation_pair(p_dist: Distribution, q_dist: Distribution, tolerance: f
                               magnitude=q_dist[j] - q_dist[i])
                 )
     return CheckReport("negation-pair", violations, 0, tolerance)
+
+
+def _require_tolerance(tolerance: float) -> None:
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ArgumentError(f"tolerance must be a finite number >= 0, got {tolerance}")
 
 
 def _require_grid(grid_size: int, least: int = 2) -> None:
@@ -240,6 +249,7 @@ def _sweep(descriptor: NegatorDescriptor, n: int, grid_size: int, checks: list[_
 
 
 def _alone(check_type: type[_GridCheck], descriptor: NegatorDescriptor, n: int, grid_size: int, tolerance: float):
+    _require_tolerance(tolerance)
     check = check_type(descriptor, n, grid_size, tolerance)
     _sweep(descriptor, n, grid_size, [check])
     return check.result()
@@ -428,27 +438,38 @@ def linearity_test(
     return _alone(_Linearity, descriptor, n, grid_size, tolerance)
 
 
-#: The grid checks, in the order pdneg check runs and reports them.
+#: The grid checks, in the order audit runs and reports them.
 _GRID_CHECKS = (_FixedPoint, _FunctionalEquation, _BoundaryRange, _Linearity)
+#: The value audit's independence probe evaluates N at, and how many seeded contexts hold it.
+PROBE_VALUE = 0.5
+PROBE_CONTEXTS = 8
 
 
-def grid_checks(
-    descriptor: NegatorDescriptor,
-    n: int,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    tolerance: float = CHECK_TOLERANCE,
-) -> dict[str, CheckReport | LinearityVerdict | IndependenceRequired | NegatorRequired]:
-    """The four grid checks in one sweep of the grid.
+@dataclass(frozen=True)
+class Audit:
+    """Each check's result by name, in the order :func:`audit` ran them: a
+    CheckReport, the LinearityVerdict, or the check's IndependenceRequired or
+    NegatorRequired.  ``passed`` counts the CheckReports only."""
 
-    Maps each check's name ("fixed-point", "functional-equation",
-    "boundary-range", "linearity") to what its public function returns, or
-    to the IndependenceRequired or NegatorRequired it refuses the
-    descriptor with; any other error is raised.  The checks' preconditions
-    and one-off evaluations run in that order before the sweep, which maps
-    each grid point through N once, and once more at Yager's Y(p) when the
-    balance identity applies.  ``pdneg check`` runs the checks this way; the
-    package exports only the four public checks, which raise their refusals.
+    results: Mapping[str, CheckReport | LinearityVerdict | IndependenceRequired | NegatorRequired]
+
+    @property
+    def passed(self) -> bool:
+        return all(result.passed for result in self.results.values() if isinstance(result, CheckReport))
+
+
+def audit(descriptor: NegatorDescriptor, n: int, grid_size: int = DEFAULT_GRID_SIZE,
+          tolerance: float = CHECK_TOLERANCE, seed: int = 0) -> Audit:
+    """The checks ``pdneg check`` runs, and its verdict.
+
+    The grid checks "fixed-point", "functional-equation", "boundary-range" and
+    "linearity" run their preconditions and one-off evaluations in that order,
+    then share one sweep of the grid.  The "independence-probe" then evaluates
+    N at PROBE_VALUE in PROBE_CONTEXTS seeded length-n contexts.  A refusal for
+    a claim the descriptor lacks is held as the check's result; any other
+    error is raised.
     """
+    _require_tolerance(tolerance)
     started: dict[str, _GridCheck | IndependenceRequired | NegatorRequired] = {}
     for check_type in _GRID_CHECKS:
         try:
@@ -457,7 +478,10 @@ def grid_checks(
             started[check_type.name] = exc
     checks = [check for check in started.values() if isinstance(check, _GridCheck)]
     _sweep(descriptor, n, grid_size, checks)
-    return {name: check.result() if isinstance(check, _GridCheck) else check for name, check in started.items()}
+    results = {name: check.result() if isinstance(check, _GridCheck) else check for name, check in started.items()}
+    contexts = contexts_containing(PROBE_VALUE, n, PROBE_CONTEXTS, seed)
+    results["independence-probe"] = independence_probe(descriptor, PROBE_VALUE, contexts, tolerance, seed=seed)
+    return Audit(MappingProxyType(results))
 
 
 def independence_probe(
@@ -477,6 +501,7 @@ def independence_probe(
     their value legitimately changes with n; the restriction is recorded in
     the report notes.
     """
+    _require_tolerance(tolerance)
     contexts = tuple(contexts)
     groups: dict[int | None, list[int]] = {}
     for index, context in enumerate(contexts):

@@ -16,9 +16,10 @@ its scalars are formatted once (text quoted by csv.writer) and repeated on
 each of its rows, and the numbers of a row are one %-format, so a label is
 never read as a format.  check writes one row per check.  negate and
 iterate parse the descriptor once per distinct distribution length.
-check's --tol must be finite and >= 0, its --grid at least 2, and at least 3
-when the linearity check applies (to a negator claiming pd-independence);
-both are refused before the grid is swept, once for all four grid checks.
+check only renders analysis.audit, the one plan of which checks run, with
+what probe, and what counts as passing.  Its --tol must be finite and >= 0,
+its --grid at least 2, and at least 3 when the linearity check applies (to a
+negator claiming pd-independence); both are refused before the grid is swept.
 
 Exit status: 0 success, 1 a check failed (report still emitted), 2 usage,
 parse or validation failure (errors derived from ValueError, a component
@@ -37,33 +38,15 @@ from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
 
-from .analysis import (
-    CHECK_TOLERANCE,
-    DEFAULT_GRID_SIZE,
-    MAX_COMPONENT_EVALUATIONS,
-    contexts_containing,
-    grid_checks,
-    independence_probe,
-    iterate_negation,
-)
+from .analysis import CHECK_TOLERANCE, DEFAULT_GRID_SIZE, MAX_COMPONENT_EVALUATIONS, audit, iterate_negation
 from .core import Distribution, entropy, validate_distribution
-from .errors import (
-    ArgumentError,
-    ComponentIndexError,
-    IndependenceRequired,
-    LengthMismatch,
-    NegationError,
-    NegatorRequired,
-)
+from .errors import ArgumentError, ComponentIndexError, LengthMismatch, NegationError
 from .negators import apply_transformation, linear_from_alpha, parse_descriptor
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_APPLICATION = 3
-
-_PROBE_CONTEXTS = 8
-_PROBE_VALUE = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -232,27 +215,23 @@ def cmd_check(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ArgumentError(f"--tol must be a finite number >= 0, got {args.tol}")
     descriptor = parse_descriptor(args.negator, n=args.n)
+    found = audit(descriptor, args.n, args.grid, args.tol, args.seed)
     entries = []
     verdict = None
-    for name, result in grid_checks(descriptor, args.n, grid_size=args.grid, tolerance=args.tol).items():
-        if isinstance(result, (IndependenceRequired, NegatorRequired)):  # a claim the check presumes is missing
+    for name, result in found.results.items():
+        if isinstance(result, NegationError):  # a claim the check presumes is missing
             entries.append({"skipped": True, "check_name": name, "reason": f"descriptor {result.refusal}"})
         elif name == "linearity":
             verdict = result
         else:
             entries.append({"skipped": False, **result.to_dict()})
-    contexts = contexts_containing(_PROBE_VALUE, args.n, _PROBE_CONTEXTS, args.seed)
-    probe = independence_probe(descriptor, _PROBE_VALUE, contexts, tolerance=args.tol, seed=args.seed)
-    entries.append({"skipped": False, **probe.to_dict()})
-
-    passed = all(entry["skipped"] or entry["passed"] for entry in entries)
     payload = {
         "command": "check",
         "negator": descriptor.spec_string(),
         "n": args.n,
         "grid_size": args.grid,
         "seed": args.seed,
-        "passed": passed,
+        "passed": found.passed,
         "checks": entries,
         "linearity": None if verdict is None else verdict.to_dict(),
     }
@@ -270,7 +249,7 @@ def cmd_check(args) -> int:
 
     header = ["check_name", "skipped", "passed", "reason", "grid_size", "tolerance", "violations", "max_magnitude"]
     _emit(args, payload, header, records())
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    return EXIT_OK if found.passed else EXIT_CHECK_FAILED
 
 
 def cmd_iterate(args) -> int:

@@ -3,6 +3,7 @@ boundary ranges, linearity, independence probing, entropy deltas, iteration."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import tracemalloc
@@ -34,6 +35,7 @@ from pdneg import (
     Violation,
     analysis,
     apply_transformation,
+    audit,
     boundary_range_check,
     check_negation_pair,
     contexts_containing,
@@ -53,7 +55,6 @@ from pdneg import (
     uniform_distribution,
     validate_distribution,
 )
-from pdneg.analysis import grid_checks
 from pdneg.cli import main
 
 EXAMPLE = validate_distribution(EXAMPLE_PD)
@@ -315,6 +316,29 @@ def test_arguments_out_of_range_are_argument_errors(call, message):
     assert str(excinfo.value) == message
 
 
+# Under a NaN tolerance every comparison is false, so a check would pass whatever it found
+# (the balance identity and the boundary ranges fail (1 - p)^2 at the default tolerance).
+TOLERANCE_CALLS = {
+    "fixed_point_check": lambda tolerance: fixed_point_check(TestCheckFailurePaths.SQUARE, 5, tolerance=tolerance),
+    "functional_equation_check": lambda tolerance: functional_equation_check(
+        TestCheckFailurePaths.SQUARE, 5, tolerance=tolerance),
+    "boundary_range_check": lambda tolerance: boundary_range_check(
+        TestCheckFailurePaths.SQUARE, 5, tolerance=tolerance),
+    "linearity_test": lambda tolerance: linearity_test(YAGER, 5, tolerance=tolerance),
+    "check_negation_pair": lambda tolerance: check_negation_pair(EXAMPLE, EXAMPLE, tolerance),
+    "independence_probe": lambda tolerance: independence_probe(
+        Tsallis(2.0), 0.5, contexts_containing(0.5, 5, 8, 0), tolerance),
+    "audit": lambda tolerance: audit(TestCheckFailurePaths.SQUARE, 5, tolerance=tolerance),
+}
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-12])
+@pytest.mark.parametrize("call", TOLERANCE_CALLS.values(), ids=TOLERANCE_CALLS)
+def test_a_tolerance_must_be_finite_and_non_negative(call, tolerance):
+    with pytest.raises(ArgumentError, match=r"^tolerance must be a finite number >= 0, got "):
+        call(tolerance)
+
+
 def _canonical(f, n, p):
     # A claimed-independent generator at p, inside (p, q, ..., q) with q = (1 - p)/(n - 1).
     return f(p) / (f(p) + (n - 1) * f((1.0 - p) / (n - 1)))
@@ -414,7 +438,8 @@ class TestGridBlocks:
 
     def together(self, descriptor, grid_size):
         try:
-            return [self.outcome(result) for result in grid_checks(descriptor, 5, grid_size=grid_size).values()]
+            results = audit(descriptor, 5, grid_size=grid_size).results
+            return [self.outcome(result) for name, result in results.items() if name != "independence-probe"]
         except NegationError as exc:
             return self.outcome(exc)
 
@@ -468,12 +493,24 @@ class TestGridBlocks:
         def peak(grid_size):
             tracemalloc.start()
             try:
-                grid_checks(descriptor, 5, grid_size=grid_size)
+                audit(descriptor, 5, grid_size=grid_size)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         assert peak(50 * analysis.GRID_BLOCK) <= 1.5 * peak(2 * analysis.GRID_BLOCK)
+
+
+class TestAudit:
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("spec", ["yager", "identity", "tsallis:k=2", "mix:[0.3*linear:alpha=0.2,0.7*yager]",
+                                      "rootsum"])
+    def test_the_verdict_and_the_checks_are_those_of_pdneg_check(self, spec, n, capsys):
+        found = audit(parse_descriptor(spec, n=n), n)
+        code = main(["check", spec, "--n", str(n)])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert found.passed == (code == 0)
+        assert set(found.results) == {check["check_name"] for check in checks} | {"linearity"}
 
 
 class TestIndependenceProbe:
