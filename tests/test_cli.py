@@ -375,6 +375,68 @@ class TestEntropyCommand:
         assert float(row["entropy"]) == json.loads(json_out)["results"][0]["entropy"]
 
 
+class TestPreflight:
+    """Every failure that input or flags can cause is found before the first
+    byte of a report, even when only the last distribution causes it."""
+
+    @pytest.mark.parametrize(
+        "argv,lines,code",
+        [
+            # N(1) = 0.2 is admissible up to n = 5.
+            (["negate", "linear:n1=0.2"], ["0.5 0.3 0.2", "0.2 0.2 0.2 0.2 0.2"], 2),
+            # 200000 steps stay within the component-evaluation cap up to n = 5.
+            (["iterate", "yager", "--steps", "200000"], ["0.5 0.3 0.2"], 2),
+            (["iterate", "rootsum"], ["0.5 0.3 0.2", "0.2 0.2 0.2 0.2 0.2"], 3),
+            (["sweep-alpha", "--n", "2"], ["0.5 0.5", "0.9 0.1"], 2),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_failing_last_distribution_leaves_stdout_empty(self, capsys, tmp_path, argv, lines, code, fmt):
+        path = write_input(tmp_path, "\n".join(lines + ["0.1 0.1 0.1 0.1 0.1 0.1 0.1 0.3"]) + "\n")
+        got, out, err = run(capsys, *argv, "--format", fmt, "--input", path)
+        assert (got, out) == (code, "")
+        assert err.startswith("pdneg: ")
+
+
+class TestChunkBoundaries:
+    """JSON reports longer than one chunk of records are still one json.dumps."""
+
+    # More than three chunks of 256 records; two labels JSON escapes sit on
+    # either side of the first chunk boundary.
+    COUNT = 3 * 256 + 1
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        from pdneg.analysis import sample_distributions
+
+        labels = [f"d{i}" for i in range(self.COUNT)]
+        labels[255], labels[256] = "café", 'q"uote'
+        distributions = [{"label": label, "values": list(dist.values)}
+                         for label, dist in zip(labels, sample_distributions(3, self.COUNT, seed=4))]
+        path = tmp_path_factory.mktemp("chunks") / "input.json"
+        path.write_text(json.dumps({"distributions": distributions}))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv,records",
+        [
+            (["negate", "yager"], COUNT),
+            (["iterate", "yager", "--steps", "1"], COUNT),
+            (["sweep-alpha", "--alphas", "2"], 2 * COUNT),
+            (["entropy"], COUNT),
+        ],
+    )
+    @pytest.mark.parametrize("pretty", [False, True])
+    def test_the_report_is_one_json_document(self, capsys, path, argv, records, pretty):
+        code, out, _ = run(capsys, *argv, "--input", path, *(["--pretty"] if pretty else []))
+        assert code == 0
+        document = json.loads(out)
+        assert out == json.dumps(document, indent=2 if pretty else None) + "\n"
+        assert len(document["results"]) == records
+        labels = [result["label"] for result in document["results"]]
+        assert labels[255:257] == ["café", 'q"uote']
+
+
 class TestSizeCaps:
     @pytest.mark.parametrize(
         "argv",
