@@ -534,17 +534,24 @@ def distance_to_uniform(dist: Distribution) -> float:
     return max(abs(value - u) for value in dist.values)
 
 
-def iterate_negation(descriptor: NegatorDescriptor, dist: Distribution, steps: int) -> IterationTrace:
-    """Trace of repeated negation, starting from the input distribution."""
+def require_iteration(descriptor: NegatorDescriptor, n: int, steps: int) -> None:
+    """Raise what :func:`iterate_negation` refuses for a length-n distribution:
+    a descriptor that does not claim to be a negator, steps < 0, or more than
+    MAX_COMPONENT_EVALUATIONS component evaluations."""
     if not descriptor.claims_negator:
         raise NegatorRequired(f"{descriptor.spec_string()} {NegatorRequired.refusal}")
     if steps < 0:
         raise ArgumentError(f"steps must be >= 0, got {steps}")
-    if steps * len(dist) > MAX_COMPONENT_EVALUATIONS:
+    if steps * n > MAX_COMPONENT_EVALUATIONS:
         raise ArgumentError(
-            f"{steps} steps over {len(dist)} components exceeds the "
+            f"{steps} steps over {n} components exceeds the "
             f"{MAX_COMPONENT_EVALUATIONS} component-evaluation cap"
         )
+
+
+def iterate_negation(descriptor: NegatorDescriptor, dist: Distribution, steps: int) -> IterationTrace:
+    """Trace of repeated negation, starting from the input distribution."""
+    require_iteration(descriptor, len(dist), steps)
     trace = [dist]
     for _ in range(steps):
         trace.append(apply_transformation(descriptor, trace[-1]))

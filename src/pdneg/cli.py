@@ -21,6 +21,18 @@ what probe, and what counts as passing.  Its --tol must be finite and >= 0,
 its --grid at least 2, and at least 3 when the linearity check applies (to a
 negator claiming pd-independence); both are refused before the grid is swept.
 
+Every command first runs a preflight over the whole input: it reads and
+validates every distribution, resolves the descriptor for every distinct
+length, and runs the refusals of iterate (a non-negator, --steps < 0 or over
+the component-evaluation cap) and sweep-alpha (--n).  Then it yields its
+report records one at a time, and one writer renders them: JSON is the
+bytes of one json.dumps of the report, encoded CHUNK_RECORDS records at a
+time, and CSV is written record by record.  So a report holds the parsed
+input and one chunk of records, never the whole report.  The first record is
+built before anything is written; after it, only a kernel's
+InternalConsistencyError (a negation off the simplex) can stop a report
+partway, leaving what was written so far on stdout.
+
 Exit status: 0 success, 1 a check failed (report still emitted), 2 usage,
 parse or validation failure (errors derived from ValueError, a component
 index out of range, OSError), 3 any other pdneg error (descriptor application).
@@ -34,11 +46,18 @@ import json
 import math
 import sys
 from collections.abc import Iterable, Iterator
-from functools import cache
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
-from .analysis import CHECK_TOLERANCE, DEFAULT_GRID_SIZE, MAX_COMPONENT_EVALUATIONS, audit, iterate_negation
+from .analysis import (
+    CHECK_TOLERANCE,
+    DEFAULT_GRID_SIZE,
+    MAX_COMPONENT_EVALUATIONS,
+    audit,
+    iterate_negation,
+    require_iteration,
+)
 from .core import Distribution, entropy, validate_distribution
 from .errors import ArgumentError, ComponentIndexError, LengthMismatch, NegationError
 from .negators import apply_transformation, linear_from_alpha, parse_descriptor
@@ -47,6 +66,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_APPLICATION = 3
+
+#: Records per json.dumps call of a JSON report.
+CHUNK_RECORDS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +94,7 @@ def _read_input(args) -> list[tuple[str, Distribution]]:
             document = json.loads(text, parse_int=float)
         except RecursionError:
             raise ValueError("input document nests too deeply") from None
+        del text  # the document holds the input now
         entries = document.get("distributions")
         if not isinstance(entries, list) or not entries:
             raise ValueError("input document needs a non-empty 'distributions' list")
@@ -104,7 +127,9 @@ def _read_input(args) -> list[tuple[str, Distribution]]:
             labelled.append((label, values))
     else:
         labelled = []
-        for line in text.splitlines():
+        lines = text.splitlines()
+        del text  # the lines hold the input now
+        for line in lines:
             line = line.strip()
             if not line:
                 continue
@@ -164,14 +189,51 @@ def _csv_text(header: list[str], records: Iterable[dict], pretty: bool) -> Itera
         yield head + (tail + head).join(map(row.__mod__, zip(range(1, len(lists[0]) + 1), *lists))) + tail
 
 
-def _emit(args, payload: dict, header: list[str], records: Iterable[dict]) -> None:
-    """Print the payload as JSON, or the records as CSV rows under the header
-    (records are only read for CSV)."""
+def _json_text(payload: dict, pretty: bool) -> Iterator[str]:
+    """The text print(json.dumps(payload)) writes, in pieces: the fields
+    before the records, the records CHUNK_RECORDS at a time, and the fields
+    after them.
+
+    The records are the payload's one iterator-valued field, written as the
+    list it yields.  --pretty rounds every number as _rounded does and
+    indents by 2, so each chunk's items move one level in, to the depth of
+    a top-level field's items.
+    """
+    names = list(payload)
+    at = next(i for i, name in enumerate(names) if isinstance(payload[name], Iterator))
+    key, records = names[at], payload[names[at]]
+    before = {name: payload[name] for name in names[:at]}
+    after = {name: payload[name] for name in names[at + 1:]}
+    if pretty:
+        before, after, records = _rounded(before), _rounded(after), map(_rounded, records)
+    indent = 2 if pretty else None
+    # The records' [] is the last one in the text of the fields up to them,
+    # and the first one in the text of the fields from them on.
+    yield json.dumps({**before, key: []}, indent=indent).rpartition("[]")[0] + "["
+    separator = ""
+    for chunk in iter(lambda: list(islice(records, CHUNK_RECORDS)), []):
+        items = json.dumps(chunk, indent=indent)[1:-1]
+        if pretty:
+            items = items.rstrip("\n").replace("\n", "\n  ")
+        yield separator + items
+        separator = "," if pretty else ", "
+    closing = json.dumps({key: [], **after}, indent=indent).partition("[]")[2]
+    yield ("\n  ]" if pretty and separator else "]") + closing + "\n"
+
+
+def _emit(args, payload: dict, header: list[str], rows: Iterable[dict]) -> None:
+    """Write the payload as JSON (see _json_text), or the rows as CSV under
+    the header; only the chosen format's records are read.
+
+    The first record is built before anything is written, so a failure
+    there leaves stdout empty.
+    """
     if args.format == "csv":
-        sys.stdout.writelines(_csv_text(header, records, args.pretty))
+        pieces = _csv_text(header, rows, args.pretty)
     else:
-        document = _rounded(payload) if args.pretty else payload
-        print(json.dumps(document, indent=2 if args.pretty else None))
+        pieces = _json_text(payload, args.pretty)
+    sys.stdout.write(next(pieces) + next(pieces, ""))
+    sys.stdout.writelines(pieces)
 
 
 def _negation(descriptor, dist: Distribution, input_entropy: float) -> dict:
@@ -197,13 +259,19 @@ def _check_size(flag: str, value: int, *, at_least: int | None = None) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
+def _lengths(distributions: list[tuple[str, Distribution]]) -> Iterable[int]:
+    """The distinct distribution lengths, in order of first appearance."""
+    return dict.fromkeys(len(dist) for _, dist in distributions)
+
+
 def cmd_negate(args) -> int:
-    descriptor = cache(lambda n: parse_descriptor(args.negator, n=n))  # parsed once per distinct length
-    results = [
+    distributions = _read_input(args)
+    descriptors = {n: parse_descriptor(args.negator, n=n) for n in _lengths(distributions)}
+    results = (
         {"label": label, "n": len(dist), "input": list(dist.values),
-         **_negation(descriptor(len(dist)), dist, entropy(dist))}
-        for label, dist in _read_input(args)
-    ]
+         **_negation(descriptors[len(dist)], dist, entropy(dist))}
+        for label, dist in distributions
+    )
     header = ["label", "index", "input", "output", "input_entropy", "output_entropy", "entropy_delta"]
     _emit(args, {"command": "negate", "results": results}, header, results)
     return EXIT_OK
@@ -216,15 +284,15 @@ def cmd_check(args) -> int:
         raise ArgumentError(f"--tol must be a finite number >= 0, got {args.tol}")
     descriptor = parse_descriptor(args.negator, n=args.n)
     found = audit(descriptor, args.n, args.grid, args.tol, args.seed)
-    entries = []
-    verdict = None
-    for name, result in found.results.items():
-        if isinstance(result, NegationError):  # a claim the check presumes is missing
-            entries.append({"skipped": True, "check_name": name, "reason": f"descriptor {result.refusal}"})
-        elif name == "linearity":
-            verdict = result
-        else:
-            entries.append({"skipped": False, **result.to_dict()})
+    verdict = found.results["linearity"]
+    if isinstance(verdict, NegationError):
+        verdict = None
+    entries = (
+        # A refusal is a claim the check presumes missing; the linearity verdict has a field of its own.
+        {"skipped": True, "check_name": name, "reason": f"descriptor {result.refusal}"}
+        if isinstance(result, NegationError) else {"skipped": False, **result.to_dict()}
+        for name, result in found.results.items() if result is not verdict
+    )
     payload = {
         "command": "check",
         "negator": descriptor.spec_string(),
@@ -252,20 +320,28 @@ def cmd_check(args) -> int:
     return EXIT_OK if found.passed else EXIT_CHECK_FAILED
 
 
+def _trace(descriptor, dist: Distribution, steps: int) -> list[dict]:
+    trace = iterate_negation(descriptor, dist, steps)
+    return [
+        {"step": step, "values": list(d.values), "distance_to_uniform": distance, "entropy": h}
+        for step, (d, distance, h) in enumerate(zip(trace.steps, trace.distances_to_uniform, trace.entropies))
+    ]
+
+
 def cmd_iterate(args) -> int:
-    descriptor = cache(lambda n: parse_descriptor(args.negator, n=n))  # parsed once per distinct length
-    results = []
-    for label, dist in _read_input(args):
-        trace = iterate_negation(descriptor(len(dist)), dist, args.steps)
-        steps = [
-            {"step": step, "values": list(d.values), "distance_to_uniform": distance, "entropy": h}
-            for step, (d, distance, h) in enumerate(zip(trace.steps, trace.distances_to_uniform, trace.entropies))
-        ]
-        results.append({"label": label, "n": len(dist), "trace": steps})
+    distributions = _read_input(args)
+    descriptors = {}
+    for n in _lengths(distributions):  # each length's refusal in the order the distributions meet it
+        descriptors[n] = parse_descriptor(args.negator, n=n)
+        require_iteration(descriptors[n], n, args.steps)
+    results = (
+        {"label": label, "n": len(dist), "trace": _trace(descriptors[len(dist)], dist, args.steps)}
+        for label, dist in distributions
+    )
     header = ["label", "step", "index", "value", "distance_to_uniform", "entropy"]
-    step_records = ({"label": result["label"], "value": step["values"], **step}
-                    for result in results for step in result["trace"])
-    _emit(args, {"command": "iterate", "results": results}, header, step_records)
+    rows = ({"label": result["label"], "value": step["values"], **step}
+            for result in results for step in result["trace"])
+    _emit(args, {"command": "iterate", "results": results}, header, rows)
     return EXIT_OK
 
 
@@ -278,11 +354,11 @@ def cmd_sweep_alpha(args) -> int:
                 raise LengthMismatch(f"distribution {label!r} has length {len(dist)}, expected --n {args.n}")
     input_entropies = [entropy(dist) for _, dist in distributions]
     alphas = [i / (args.alphas - 1) for i in range(args.alphas)]
-    results = [
+    results = (
         {"alpha": alpha, "label": label, **_negation(descriptor, dist, h)}
         for alpha, descriptor in zip(alphas, map(linear_from_alpha, alphas))
         for (label, dist), h in zip(distributions, input_entropies)
-    ]
+    )
     header = ["alpha", "label", "index", "output", "input_entropy", "output_entropy", "entropy_delta"]
     payload = {"command": "sweep-alpha", "alphas": alphas, "results": results}
     _emit(args, payload, header, results)
@@ -290,10 +366,10 @@ def cmd_sweep_alpha(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    results = [
+    results = (
         {"label": label, "n": len(dist), "entropy": entropy(dist)}
         for label, dist in _read_input(args)
-    ]
+    )
     header = ["label", "n", "entropy"]
     _emit(args, {"command": "entropy", "results": results}, header, results)
     return EXIT_OK

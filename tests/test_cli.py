@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import importlib
 import io
@@ -9,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -435,6 +437,44 @@ class TestChunkBoundaries:
         assert len(document["results"]) == records
         labels = [result["label"] for result in document["results"]]
         assert labels[255:257] == ["café", 'q"uote']
+
+
+class TestReportMemory:
+    """A report holds its parsed input and one chunk of records at a time, so
+    its peak is about that of reading the input, whatever the report's size."""
+
+    @staticmethod
+    def peak(argv, path, warm_up):
+        """Traced peak of a run on `path`, after a run on `warm_up` has done any one-off setup."""
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert main([*argv, "--input", warm_up]) == 0
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--input", path]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        from pdneg.analysis import sample_distributions
+
+        distributions = [{"label": f"d{i}", "values": list(dist.values)}
+                         for i, dist in enumerate(sample_distributions(5, 2000, seed=3))]
+        directory = tmp_path_factory.mktemp("memory")
+        (directory / "input.json").write_text(json.dumps({"distributions": distributions}))
+        (directory / "warm-up.json").write_text(json.dumps({"distributions": distributions[:1]}))
+        return str(directory / "input.json"), str(directory / "warm-up.json")
+
+    @pytest.fixture(scope="class")
+    def reading(self, paths):
+        return self.peak(["entropy"], *paths)
+
+    @pytest.mark.parametrize("argv", [["negate", "yager"], ["iterate", "yager", "--steps", "3"],
+                                      ["sweep-alpha", "--alphas", "11"]])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_report_peaks_near_the_entropy_report(self, paths, reading, argv, fmt):
+        assert self.peak([*argv, "--format", fmt], *paths) <= 1.5 * reading
 
 
 class TestSizeCaps:
