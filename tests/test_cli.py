@@ -17,7 +17,7 @@ import pytest
 
 from conftest import EXAMPLE_PD
 from pdneg import entropy, errors
-from pdneg.cli import main
+from pdneg.cli import CHUNK_RECORDS, main
 
 EXAMPLE_LINE = " ".join(str(v) for v in EXAMPLE_PD)
 
@@ -391,6 +391,7 @@ class TestPreflight:
             (["iterate", "rootsum"], ["0.5 0.3 0.2", "0.2 0.2 0.2 0.2 0.2"], 3),
             (["sweep-alpha", "--n", "2"], ["0.5 0.5", "0.9 0.1"], 2),
         ],
+        ids=["negate-boundary-form", "iterate-cap", "iterate-non-negator", "sweep-alpha-length"],
     )
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_a_failing_last_distribution_leaves_stdout_empty(self, capsys, tmp_path, argv, lines, code, fmt):
@@ -403,16 +404,16 @@ class TestPreflight:
 class TestChunkBoundaries:
     """JSON reports longer than one chunk of records are still one json.dumps."""
 
-    # More than three chunks of 256 records; two labels JSON escapes sit on
-    # either side of the first chunk boundary.
-    COUNT = 3 * 256 + 1
+    # Three chunks and one record; two labels JSON escapes sit on either
+    # side of the first chunk boundary.
+    COUNT = 3 * CHUNK_RECORDS + 1
 
     @pytest.fixture(scope="class")
     def path(self, tmp_path_factory):
         from pdneg.analysis import sample_distributions
 
         labels = [f"d{i}" for i in range(self.COUNT)]
-        labels[255], labels[256] = "café", 'q"uote'
+        labels[CHUNK_RECORDS - 1], labels[CHUNK_RECORDS] = "café", 'q"uote'
         distributions = [{"label": label, "values": list(dist.values)}
                          for label, dist in zip(labels, sample_distributions(3, self.COUNT, seed=4))]
         path = tmp_path_factory.mktemp("chunks") / "input.json"
@@ -433,10 +434,11 @@ class TestChunkBoundaries:
         code, out, _ = run(capsys, *argv, "--input", path, *(["--pretty"] if pretty else []))
         assert code == 0
         document = json.loads(out)
-        assert out == json.dumps(document, indent=2 if pretty else None) + "\n"
+        # out == json.dumps(...) + "\n", line by line, so that a failure reports quickly.
+        assert out.split("\n") == (json.dumps(document, indent=2 if pretty else None) + "\n").split("\n")
         assert len(document["results"]) == records
         labels = [result["label"] for result in document["results"]]
-        assert labels[255:257] == ["café", 'q"uote']
+        assert labels[CHUNK_RECORDS - 1:CHUNK_RECORDS + 1] == ["café", 'q"uote']
 
 
 class TestReportMemory:
