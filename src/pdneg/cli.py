@@ -25,11 +25,11 @@ Every command first runs a preflight over the whole input: it reads and
 validates every distribution, resolves the descriptor for every distinct
 length, and runs the refusals of iterate (a non-negator, --steps < 0 or over
 the component-evaluation cap) and sweep-alpha (--n).  Then it yields its
-report records one at a time, and one writer renders them: JSON is the
-bytes of one json.dumps of the report, encoded CHUNK_RECORDS records at a
-time, and CSV is written record by record.  So a report holds the parsed
-input and one chunk of records, never the whole report.  The first record is
-built before anything is written; after it, only a kernel's
+report records, and one writer builds and renders them CHUNK_RECORDS at a
+time: JSON is the bytes of one json.dumps of the report, with one json.dumps
+call per chunk, and CSV is one string per record.  So a report holds the
+parsed input and one chunk of records, never the whole report.  The first
+chunk is built before anything is written; after it, only a kernel's
 InternalConsistencyError (a negation off the simplex) can stop a report
 partway, leaving what was written so far on stdout.
 
@@ -46,7 +46,7 @@ import json
 import math
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -67,7 +67,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_APPLICATION = 3
 
-#: Records per json.dumps call of a JSON report.
+#: Records a report builds before it renders them; JSON encodes each chunk
+#: with one json.dumps call.  Building and rendering in turns of a few dozen
+#: records is as fast as building the whole report first.
 CHUNK_RECORDS = 64
 
 
@@ -189,10 +191,16 @@ def _csv_text(header: list[str], records: Iterable[dict], pretty: bool) -> Itera
         yield head + (tail + head).join(map(row.__mod__, zip(range(1, len(lists[0]) + 1), *lists))) + tail
 
 
+def _chunks(records: Iterable[dict]) -> Iterator[list[dict]]:
+    """The records, built CHUNK_RECORDS at a time."""
+    records = iter(records)
+    return iter(lambda: list(islice(records, CHUNK_RECORDS)), [])
+
+
 def _json_text(payload: dict, pretty: bool) -> Iterator[str]:
     """The text print(json.dumps(payload)) writes, in pieces: the fields
-    before the records, the records CHUNK_RECORDS at a time, and the fields
-    after them.
+    before the records, the records chunk by chunk, and the fields after
+    them.
 
     The records are the payload's one iterator-valued field, written as the
     list it yields.  --pretty rounds every number as _rounded does and
@@ -211,7 +219,7 @@ def _json_text(payload: dict, pretty: bool) -> Iterator[str]:
     # and the first one in the text of the fields from them on.
     yield json.dumps({**before, key: []}, indent=indent).rpartition("[]")[0] + "["
     separator = ""
-    for chunk in iter(lambda: list(islice(records, CHUNK_RECORDS)), []):
+    for chunk in _chunks(records):
         items = json.dumps(chunk, indent=indent)[1:-1]
         if pretty:
             items = items.rstrip("\n").replace("\n", "\n  ")
@@ -225,11 +233,11 @@ def _emit(args, payload: dict, header: list[str], rows: Iterable[dict]) -> None:
     """Write the payload as JSON (see _json_text), or the rows as CSV under
     the header; only the chosen format's records are read.
 
-    The first record is built before anything is written, so a failure
-    there leaves stdout empty.
+    The first chunk of records is built before anything is written, so a
+    failure there leaves stdout empty.
     """
     if args.format == "csv":
-        pieces = _csv_text(header, rows, args.pretty)
+        pieces = _csv_text(header, chain.from_iterable(_chunks(rows)), args.pretty)
     else:
         pieces = _json_text(payload, args.pretty)
     sys.stdout.write(next(pieces) + next(pieces, ""))
