@@ -50,14 +50,8 @@ from itertools import chain, islice
 from pathlib import Path
 from types import SimpleNamespace
 
-from .analysis import (
-    CHECK_TOLERANCE,
-    DEFAULT_GRID_SIZE,
-    MAX_COMPONENT_EVALUATIONS,
-    audit,
-    iterate_negation,
-    require_iteration,
-)
+from .analysis import (CHECK_TOLERANCE, DEFAULT_GRID_SIZE, MAX_COMPONENT_EVALUATIONS, audit, iterate_negation,
+                       require_iteration)
 from .core import Distribution, entropy, validate_distribution
 from .errors import ArgumentError, ComponentIndexError, LengthMismatch, NegationError
 from .negators import apply_transformation, linear_from_alpha, parse_descriptor
@@ -67,9 +61,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_APPLICATION = 3
 
-#: Records a report builds before it renders them; JSON encodes each chunk
-#: with one json.dumps call.  Building and rendering in turns of a few dozen
-#: records is as fast as building the whole report first.
+#: Records a report builds before it renders them (one json.dumps call each
+#: chunk); turns of a few dozen records run as fast as building the whole report.
 CHUNK_RECORDS = 64
 
 
