@@ -200,11 +200,9 @@ def _json_text(payload: dict, pretty: bool) -> Iterator[str]:
     indents by 2, so each chunk's items move one level in, to the depth of
     a top-level field's items.
     """
-    names = list(payload)
-    at = next(i for i, name in enumerate(names) if isinstance(payload[name], Iterator))
-    key, records = names[at], payload[names[at]]
-    before = {name: payload[name] for name in names[:at]}
-    after = {name: payload[name] for name in names[at + 1:]}
+    fields = list(payload.items())
+    at = next(i for i, (_, value) in enumerate(fields) if isinstance(value, Iterator))
+    (key, records), before, after = fields[at], dict(fields[:at]), dict(fields[at + 1:])
     if pretty:
         before, after, records = _rounded(before), _rounded(after), map(_rounded, records)
     indent = 2 if pretty else None
