@@ -133,45 +133,33 @@ class IterationTrace:
     entropies: tuple[float, ...]
 
 
-def _reverses_order(p: tuple[float, ...], q: tuple[float, ...], tolerance: float) -> bool:
-    # Sweep the components from the largest p down, in groups of equal p,
-    # keeping the largest q seen at a strictly larger p.  A group violates
-    # the order iff its smallest q lies more than the tolerance below that
-    # running maximum or below the largest q of the group itself (equal p
-    # constrain both ways).
-    higher = -math.inf
-    order = sorted(range(len(p)), key=p.__getitem__, reverse=True)
-    for _, group in itertools.groupby(order, key=p.__getitem__):
-        qs = [q[i] for i in group]
-        top = max(higher, max(qs))
-        if min(qs) < top - tolerance:
-            return False
-        higher = top
-    return True
-
-
 def check_negation_pair(p_dist: Distribution, q_dist: Distribution, tolerance: float = CHECK_TOLERANCE) -> CheckReport:
     """Check that Q reverses the component order of P.
 
     Passes iff p_i <= p_j implies q_i >= q_j (within tolerance) for every
     index pair; each violating 1-based pair (i, j) is reported, in order of
-    i then j.  O(n log n) when the pair passes; the violations of a failing
-    pair are enumerated over all n^2 index pairs.
+    i then j.  One sweep over the components sorted by p, then q, largest
+    first, keeps the running maximum of q: at each index it is the largest
+    q at a p no smaller, since equal p put their largest q first.  The sweep
+    collects each index whose q lies more than the tolerance below it, and
+    only those indices are paired with every j.  O(n log n), plus O(n) for
+    each index with a violation.
     """
     if len(p_dist) != len(q_dist):
         raise LengthMismatch(f"lengths differ: {len(p_dist)} vs {len(q_dist)}")
     _require_tolerance(tolerance)
-    if _reverses_order(p_dist.values, q_dist.values, tolerance):
-        return CheckReport("negation-pair", (), 0, tolerance)
-    violations = []
-    n = len(p_dist)
-    for i in range(n):
-        for j in range(n):
-            if i != j and p_dist[i] <= p_dist[j] and q_dist[i] < q_dist[j] - tolerance:
-                violations.append(
-                    Violation((i + 1, j + 1), expected=q_dist[j], actual=q_dist[i],
-                              magnitude=q_dist[j] - q_dist[i])
-                )
+    p, q = p_dist.values, q_dist.values
+    top, failing = -math.inf, []
+    for _, q_i, i in sorted(zip(p, q, range(len(p))), reverse=True):
+        if q_i > top:
+            top = q_i
+        elif q_i < top - tolerance:
+            failing.append(i)
+    violations = [
+        Violation((i + 1, j + 1), expected=q[j], actual=q[i], magnitude=q[j] - q[i])
+        for i in sorted(failing) for j in range(len(p))
+        if i != j and p[i] <= p[j] and q[i] < q[j] - tolerance
+    ]
     return CheckReport("negation-pair", violations, 0, tolerance)
 
 

@@ -105,10 +105,17 @@ class TestNegationPair:
     @given(st.data(), st.sampled_from([0.0, 1e-12, 0.05]))
     def test_matches_the_pairwise_definition(self, data, tolerance):
         # Small integer weights give ties, zeros and point masses.
-        p = normalize(data.draw(st.lists(st.integers(0, 3), min_size=2, max_size=8).filter(any)))
-        source = data.draw(st.sampled_from(["independent", YAGER, UNIFORM, Tsallis(2.0), IDENTITY]))
+        source = data.draw(st.sampled_from(["independent", "near-negation", YAGER, UNIFORM, Tsallis(2.0), IDENTITY]))
+        longest = 200 if source == "near-negation" else 8
+        p = normalize(data.draw(st.lists(st.integers(0, 3), min_size=2, max_size=longest).filter(any)))
         if source == "independent":
             q = normalize(data.draw(st.lists(st.integers(0, 3), min_size=len(p), max_size=len(p)).filter(any)))
+        elif source == "near-negation":
+            # Yager's image reverses the order; one transposition breaks it at a few indices.
+            q = list(apply_transformation(YAGER, p).values)
+            i, j = data.draw(st.lists(st.integers(0, len(p) - 1), min_size=2, max_size=2))
+            q[i], q[j] = q[j], q[i]
+            q = Distribution(tuple(q))
         else:
             q = apply_transformation(source, p)
         expected = [
