@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Commands: negate, check, iterate, sweep-alpha, entropy.  Distributions come
-from --input (default stdin) either as a JSON document
+Commands: negate, check, iterate, sweep-alpha, entropy.  All five take
+--format and --pretty; check reads no input and takes no --input.  The other
+four read their distributions from --input (default stdin) either as a JSON
+document
 
     {"distributions": [{"label": "pd1", "values": [0, 0.1, 0.2, 0.3, 0.4]}]}
 
@@ -385,19 +387,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    io_options = argparse.ArgumentParser(add_help=False)
+    output_options = argparse.ArgumentParser(add_help=False)
+    output_options.add_argument("--format", choices=("json", "csv"), default="json")
+    output_options.add_argument("--pretty", action="store_true",
+                                help="round numbers to 6 significant digits")
+    io_options = argparse.ArgumentParser(add_help=False, parents=[output_options])
     io_options.add_argument("--input", default=None, metavar="PATH",
                             help="input document (default: stdin)")
-    io_options.add_argument("--format", choices=("json", "csv"), default="json")
-    io_options.add_argument("--pretty", action="store_true",
-                            help="round numbers to 6 significant digits")
 
     negate = sub.add_parser("negate", parents=[io_options],
                             help="apply a negator to each input distribution")
     negate.add_argument("negator", help="descriptor, e.g. yager or linear:n1=0.1")
     negate.set_defaults(handler=cmd_negate)
 
-    check = sub.add_parser("check", parents=[io_options],
+    check = sub.add_parser("check", parents=[output_options],
                            help="run the applicable property checks for a descriptor")
     check.add_argument("negator")
     check.add_argument("--n", type=int, required=True, help="distribution length to check at")

@@ -37,7 +37,8 @@ Each descriptor maps a whole vector of values in one call of its kernel,
 once.  Costs in the distribution length n: :func:`apply_transformation` is
 O(n); :func:`evaluate` is O(n) with a context and O(1) without (O(n) for a
 claimed-independent generator, via its canonical context); and
-:func:`pdneg.analysis.check_negation_pair` is O(n log n) when the pair passes.
+:func:`pdneg.analysis.check_negation_pair` is O(n log n), plus O(n) for each
+index with a violation.
 
 One slack, :data:`pdneg.core.DEFAULT_TOLERANCE` (1e-9), serves both ends of
 a transformation: a probability argument may lie that far outside [0, 1]
@@ -51,9 +52,10 @@ the command line:
     | linear:alpha=<real> | linear:n1=<real> | linear:n0=<real>
     | mix:[<w1>*<desc1>,<w2>*<desc2>,...]
 
-The ``linear:n1=`` / ``linear:n0=`` forms fix the value of the negator at
-p = 1 (resp. p = 0) and therefore need the distribution length to resolve;
-``parse_descriptor`` must be given ``n`` for them.
+Mixtures nest at most MAX_MIX_DEPTH (32) deep.  The ``linear:n1=`` /
+``linear:n0=`` forms fix the value of the negator at p = 1 (resp. p = 0)
+and therefore need the distribution length to resolve; ``parse_descriptor``
+must be given ``n`` for them.
 """
 
 from __future__ import annotations
@@ -83,6 +85,8 @@ from .errors import (
 CONTEXT_TOLERANCE = 1e-12
 #: Tolerance on the mixture weight sum.
 WEIGHT_TOLERANCE = 1e-12
+#: Most mixtures the descriptor syntax nests one inside another.
+MAX_MIX_DEPTH = 32
 
 
 class NegatorDescriptor:
@@ -371,15 +375,6 @@ def mixture(components: Sequence[tuple[float, NegatorDescriptor]] | Iterable[tup
     return Mixture(tuple(components))
 
 
-def _snap_unit(x: float) -> float:
-    # Absorb float excursions just outside [0, 1] from boundary conversions.
-    if -1e-12 <= x < 0.0:
-        return 0.0
-    if 1.0 < x <= 1.0 + 1e-12:
-        return 1.0
-    return x
-
-
 def linear_from_alpha(alpha: float) -> Linear:
     """The convex combination of the uniform and Yager negators."""
     return Linear(alpha)
@@ -394,7 +389,8 @@ def linear_from_boundary(
 
     For length n the admissible boundary values are N(1) in [0, 1/n] and
     N(0) in [1/n, 1/(n-1)]; the two determine each other through
-    N(1) = 1 - (n - 1) N(0), and either pins alpha = n N(1).
+    N(1) = 1 - (n - 1) N(0), and either pins alpha = n N(1), clamped into
+    [0, 1] against the rounding of that conversion.
     """
     require_length(n)
     if (n_at_one is None) == (n_at_zero is None):
@@ -413,7 +409,7 @@ def linear_from_boundary(
             raise RangeError(
                 f"N(1) = {n_at_one!r} outside the admissible interval [0, 1/{n}] = [0.0, {1.0 / n!r}]"
             )
-    return Linear(_snap_unit(n * _snap_unit(n_at_one)))
+    return Linear(min(max(n * n_at_one, 0.0), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +424,8 @@ class _Parser:
     """Recursive-descent parser for the descriptor syntax.
 
     Parsing is exact: no whitespace skipping, no case folding.  Failures
-    raise :class:`DescriptorError` carrying the offending position.
+    raise :class:`DescriptorError` carrying the offending position.  A
+    ``mix`` nested deeper than MAX_MIX_DEPTH is refused at its position.
     """
 
     def __init__(self, text: str, n: int | None):
@@ -457,7 +454,7 @@ class _Parser:
         self.pos = match.end()
         return float(match.group())
 
-    def descriptor(self) -> NegatorDescriptor:
+    def descriptor(self, depth: int = 0) -> NegatorDescriptor:
         match = _NAME_RE.match(self.text, self.pos)
         if match is None:
             self.fail("expected a negator name")
@@ -481,21 +478,24 @@ class _Parser:
                     return linear_from_boundary(self.n, **{boundary: self.number()})
             self.fail("expected alpha=, n1= or n0=")
         if name == "mix":
+            if depth == MAX_MIX_DEPTH:
+                self.pos -= len(name)
+                self.fail(f"mixtures nest more than {MAX_MIX_DEPTH} deep")
             self.expect(":[")
-            components = [self.weighted()]
+            components = [self.weighted(depth + 1)]
             while self.text.startswith(",", self.pos):
                 self.pos += 1
-                components.append(self.weighted())
+                components.append(self.weighted(depth + 1))
             self.expect("]")
             return Mixture(tuple(components))
         self.pos -= len(name)
         self.fail(f"unknown negator {name!r}")
         raise AssertionError("unreachable")
 
-    def weighted(self) -> tuple[float, NegatorDescriptor]:
+    def weighted(self, depth: int) -> tuple[float, NegatorDescriptor]:
         weight = self.number()
         self.expect("*")
-        return weight, self.descriptor()
+        return weight, self.descriptor(depth)
 
 
 def parse_descriptor(text: str, n: int | None = None) -> NegatorDescriptor:

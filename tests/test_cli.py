@@ -209,6 +209,14 @@ class TestCheck:
         assert out == ""
         assert "grid_size must be at least 3" in err
 
+    def test_input_is_refused_since_check_reads_none(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", "yager", "--n", "5", "--input", "x"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --input x" in captured.err
+
 
 class TestIterate:
     def test_yager_trace(self, capsys, tmp_path):
@@ -489,8 +497,9 @@ class TestSizeCaps:
         ],
     )
     def test_size_flags_beyond_the_cap_exit_2_before_allocating(self, capsys, tmp_path, argv):
-        path = write_input(tmp_path, EXAMPLE_LINE)
-        code, out, err = run(capsys, *argv, "--input", path)
+        if argv[0] == "sweep-alpha":
+            argv = [*argv, "--input", write_input(tmp_path, EXAMPLE_LINE)]
+        code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert "exceeds the 1000000 cap" in err

@@ -4,7 +4,9 @@ Arbitrary text, arbitrary JSON trees, and documents of the right shape with
 arbitrary labels and values go to negate, iterate, sweep-alpha and entropy
 in JSON and CSV.  Whatever the input, the exit code is 0, 2 or 3 and no
 traceback is printed; a failure writes `pdneg: ...` to stderr and nothing to
-stdout, and a CSV report parses into rows as wide as its header.
+stdout, and a CSV report parses into rows as wide as its header.  Arbitrary
+descriptor text, and mixtures nested up to 600 deep, go to negate and to
+check, whose exit code may also be 1.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import csv
 import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,6 +70,11 @@ documents = st.one_of(
     labelled.map(lambda pairs: "\n".join(" ".join(map(repr, dist.values)) for _, dist in pairs)),
 )
 
+descriptors = st.one_of(
+    st.text(max_size=30),
+    st.text(alphabet="mixyagerunfotsl:k=[]*,.0123456789", max_size=40),
+)
+
 
 @settings(max_examples=300, deadline=None)
 @given(document=documents, command=st.sampled_from(COMMANDS), fmt=st.sampled_from(FORMATS))
@@ -81,3 +89,27 @@ def test_any_input_ends_in_a_report_or_one_error_line(document, command, fmt):
         header, *rows = csv.reader(io.StringIO(out))
         assert rows
         assert all(len(row) == len(header) for row in rows)
+
+
+def assert_report_or_one_error_line(descriptor, check):
+    # "--" ends the options, so a descriptor that starts with "-" stays one.
+    argv = ["check", "--n", "3", "--grid", "5", "--", descriptor] if check else ["negate", "--", descriptor]
+    code, out, err = run(argv, "0.7 0.2 0.1")
+    assert code in ((0, 1, 2, 3) if check else (0, 2, 3))
+    assert "Traceback" not in err
+    if code in (2, 3):
+        assert err.startswith("pdneg: ") and err.count("\n") == 1
+        assert out == ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(descriptor=descriptors, check=st.booleans())
+def test_any_descriptor_ends_in_a_report_or_one_error_line(descriptor, check):
+    assert_report_or_one_error_line(descriptor, check)
+
+
+# Outside hypothesis, which raises the recursion limit while a test runs.
+@pytest.mark.parametrize("check", [False, True], ids=["negate", "check"])
+def test_nested_mixtures_end_in_a_report_or_one_error_line(check):
+    for depth in range(601):
+        assert_report_or_one_error_line("mix:[1*" * depth + "yager" + "]" * depth, check)

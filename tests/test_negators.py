@@ -41,6 +41,8 @@ from pdneg import (
     sample_distributions,
     validate_distribution,
 )
+from pdneg.cli import main
+from pdneg.negators import MAX_MIX_DEPTH
 
 EXAMPLE = validate_distribution(EXAMPLE_PD)
 
@@ -416,6 +418,16 @@ class TestLinearFamily:
                     p = k / 100
                     assert abs(evaluate(direct, p, n=n) - evaluate(via_boundary, p, n=n)) <= 1e-12
 
+    def test_every_admitted_boundary_value_resolves_at_large_n(self, capsys, tmp_path):
+        # 1 - (n - 1) N(0) cancels, and n times its rounding error puts the
+        # raw alpha above 1 (1 + 1.02e-12 at n = 7131).
+        for n in (7131, 10**6):
+            assert linear_from_boundary(n, n_at_zero=1.0 / n).alpha == 1.0
+        path = tmp_path / "point-mass.txt"
+        path.write_text(" ".join(["1"] + ["0"] * 7130))
+        assert main(["negate", f"linear:n0={1.0 / 7131!r}", "--input", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestOrderReversal:
     @pytest.mark.parametrize("descriptor", NEGATOR_BUILTINS)
@@ -498,6 +510,16 @@ class TestParser:
         with pytest.raises(DescriptorError) as excinfo:
             parse_descriptor(text)
         assert excinfo.value.position == position
+
+    def test_mixtures_nest_at_most_max_mix_depth_deep(self):
+        def nested(depth):
+            return "mix:[1*" * depth + "yager" + "]" * depth
+
+        assert parse_descriptor(nested(MAX_MIX_DEPTH)).spec_string().count("mix") == MAX_MIX_DEPTH
+        for depth in (MAX_MIX_DEPTH + 1, 5000):
+            with pytest.raises(DescriptorError) as excinfo:
+                parse_descriptor(nested(depth))
+            assert excinfo.value.position == len("mix:[1*") * MAX_MIX_DEPTH
 
     def test_parameter_errors_keep_their_own_types(self):
         with pytest.raises(RangeError):
