@@ -2,18 +2,19 @@
 
 Commands: negate, check, iterate, sweep-alpha, entropy.  All five take
 --format and --pretty; check reads no input and takes no --input.  The other
-four read their distributions from --input (default stdin) either as a JSON
-document
+four read their distributions from --input (a UTF-8 file; default stdin, in
+the interpreter's encoding) either as a JSON document
 
     {"distributions": [{"label": "pd1", "values": [0, 0.1, 0.2, 0.3, 0.4]}]}
 
 or as bare text, one whitespace/comma-separated distribution per line with
 labels auto-generated as pd1, pd2, ...  JSON labels must be non-empty,
 unique strings that encode as UTF-8 (for CSV also to stdout's encoding, and
-with no carriage return).  Reports go to stdout as JSON or CSV
-with full-precision numbers (--pretty rounds to 6 significant digits).  CSV
-columns are the JSON record fields, with per-component lists unrolled one row
-per component and numbered by `index`.  Each record is rendered as one string:
+with no carriage return).  An input error names the first faulty entry in
+document order.  Reports go to stdout as JSON or CSV with full-precision
+numbers (--pretty rounds to 6 significant digits).  CSV columns are the JSON
+record fields, with per-component lists unrolled one row per component and
+numbered by `index`.  Each record is rendered as one string:
 its scalars are formatted once (text quoted by csv.writer) and repeated on
 each of its rows, and the numbers of a row are one %-format, so a label is
 never read as a format.  check writes one row per check.  negate and
@@ -28,8 +29,9 @@ validates every distribution, resolves the descriptor for every distinct
 length, and runs the refusals of iterate (a non-negator, --steps < 0 or over
 the component-evaluation cap) and sweep-alpha (--n).  Then it yields its
 report records, and one writer builds and renders them CHUNK_RECORDS at a
-time: JSON is the bytes of one json.dumps of the report, with one json.dumps
-call per chunk, and CSV is one string per record.  So a report holds the
+time: JSON is the bytes of one json.dumps of the report, made of one
+json.dumps of the report around a placeholder for its records plus one per
+chunk, and CSV is one string per record.  So a report holds the
 parsed input and one chunk of records, never the whole report.  The first
 chunk is built before anything is written; after it, only a kernel's
 InternalConsistencyError (a negation off the simplex) can stop a report
@@ -66,6 +68,10 @@ EXIT_APPLICATION = 3
 #: Records a report builds before it renders them (one json.dumps call each
 #: chunk); turns of a few dozen records run as fast as building the whole report.
 CHUNK_RECORDS = 64
+#: Stands in for the records in the json.dumps of the text around them; no other
+#: field renders to its JSON, "\u0000records", as labels live only in records.
+_RECORDS = "\0records"
+_RECORDS_JSON = json.dumps(_RECORDS)
 
 
 # ---------------------------------------------------------------------------
@@ -75,14 +81,26 @@ CHUNK_RECORDS = 64
 def _read_input(args) -> list[tuple[str, Distribution]]:
     """The labelled distributions of --input (or stdin), each validated.
 
-    CSV writes labels as they are, so under --format csv a label must also
-    hold no carriage return (csv.writer before Python 3.13 leaves it
-    unquoted, which splits the row) and must encode to stdout's encoding (a
-    stdout without one, such as io.StringIO, takes any text).  JSON escapes
-    every label to ASCII.
+    An error names the first faulty entry in document order.  CSV writes
+    labels as they are, so under --format csv a label must also hold no
+    carriage return (csv.writer before Python 3.13 leaves it unquoted, which
+    splits the row) and must encode to stdout's encoding (a stdout without
+    one, such as io.StringIO, takes any text).  JSON escapes labels to ASCII.
     """
-    text = sys.stdin.read() if args.input in (None, "-") else Path(args.input).read_text()
+    text = sys.stdin.read() if args.input in (None, "-") else Path(args.input).read_text(encoding="utf-8")
     csv_encoding = (getattr(sys.stdout, "encoding", None) or "utf-8") if args.format == "csv" else None
+    distributions: list[tuple[str, Distribution]] = []
+    seen: set[str] = set()
+
+    def add(label: str, values: Iterable[float]) -> None:
+        if label in seen:
+            raise ValueError(f"distribution label {label!r} repeats; labels must be unique")
+        seen.add(label)
+        try:
+            distributions.append((label, validate_distribution(values)))
+        except ValueError as exc:  # a token that is no number, or a validation error
+            raise type(exc)(f"distribution {label!r}: {exc}") from exc
+
     if text.lstrip().startswith("{"):
         # Integers are read as floats (beyond float range as inf, like 1e999),
         # so a value is a number exactly when its type is float: not bool,
@@ -95,12 +113,10 @@ def _read_input(args) -> list[tuple[str, Distribution]]:
         entries = document.get("distributions")
         if not isinstance(entries, list) or not entries:
             raise ValueError("input document needs a non-empty 'distributions' list")
-        labelled = []
         for index, entry in enumerate(entries, start=1):
             if not isinstance(entry, dict):
                 raise ValueError(f"distribution entry #{index} is {json.dumps(entry)}, expected an object")
-            label = entry.get("label")
-            values = entry.get("values")
+            label, values = entry.get("label"), entry.get("values")
             if not isinstance(label, str) or not label:
                 raise ValueError(f"distribution entry #{index} needs a non-empty string 'label'")
             try:
@@ -121,34 +137,19 @@ def _read_input(args) -> list[tuple[str, Distribution]]:
             if not all(type(v) is float for v in values):
                 position, value = next((i, v) for i, v in enumerate(values, start=1) if type(v) is not float)
                 raise ValueError(f"distribution {label!r}: value #{position} is {json.dumps(value)}, expected a number")
-            labelled.append((label, values))
+            add(label, values)
     else:
-        labelled = []
         lines = text.splitlines()
         del text  # the lines hold the input now
         for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            values = [float(token) for token in line.replace(",", " ").split()]
-            labelled.append((f"pd{len(labelled) + 1}", values))
-        if not labelled:
+            if line.strip():
+                add(f"pd{len(distributions) + 1}", map(float, line.replace(",", " ").split()))
+        if not distributions:
             raise ValueError("no distributions found on input")
-    labels = [label for label, _ in labelled]
-    if len(set(labels)) != len(labels):
-        raise ValueError("distribution labels must be unique")
-    distributions = []
-    for label, values in labelled:
-        try:
-            distributions.append((label, validate_distribution(values)))
-        except NegationError as exc:
-            raise type(exc)(f"distribution {label!r}: {exc}") from exc
     return distributions
 
 
 def _rounded(node):
-    if isinstance(node, bool):
-        return node
     if isinstance(node, float):
         return float(f"{node:.6g}")
     if isinstance(node, dict):
@@ -193,33 +194,30 @@ def _chunks(records: Iterable[dict]) -> Iterator[list[dict]]:
 
 
 def _json_text(payload: dict, pretty: bool) -> Iterator[str]:
-    """The text print(json.dumps(payload)) writes, in pieces: the fields
-    before the records, the records chunk by chunk, and the fields after
-    them.
+    """The text print(json.dumps(payload)) writes, in pieces: the text before
+    the records, the records chunk by chunk, and the text after them.
 
     The records are the payload's one iterator-valued field, written as the
-    list it yields.  --pretty rounds every number as _rounded does and
+    (never empty) list it yields; the text around them is one json.dumps,
+    split at _RECORDS.  --pretty rounds every number as _rounded does and
     indents by 2, so each chunk's items move one level in, to the depth of
     a top-level field's items.
     """
-    fields = list(payload.items())
-    at = next(i for i, (_, value) in enumerate(fields) if isinstance(value, Iterator))
-    (key, records), before, after = fields[at], dict(fields[:at]), dict(fields[at + 1:])
+    key, records = next(field for field in payload.items() if isinstance(field[1], Iterator))
+    around = {**payload, key: [_RECORDS]}
     if pretty:
-        before, after, records = _rounded(before), _rounded(after), map(_rounded, records)
+        around, records = _rounded(around), map(_rounded, records)
     indent = 2 if pretty else None
-    # The records' [] is the last one in the text of the fields up to them,
-    # and the first one in the text of the fields from them on.
-    yield json.dumps({**before, key: []}, indent=indent).rpartition("[]")[0] + "["
+    head, _, tail = json.dumps(around, indent=indent).partition(_RECORDS_JSON)
+    yield head
     separator = ""
     for chunk in _chunks(records):
         items = json.dumps(chunk, indent=indent)[1:-1]
         if pretty:
-            items = items.rstrip("\n").replace("\n", "\n  ")
+            items = items.strip().replace("\n", "\n  ")
         yield separator + items
-        separator = "," if pretty else ", "
-    closing = json.dumps({key: [], **after}, indent=indent).partition("[]")[2]
-    yield ("\n  ]" if pretty and separator else "]") + closing + "\n"
+        separator = ",\n    " if pretty else ", "
+    yield tail + "\n"
 
 
 def _emit(args, payload: dict, header: list[str], rows: Iterable[dict]) -> None:

@@ -63,7 +63,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .core import DEFAULT_TOLERANCE, Distribution, require_length
@@ -85,7 +85,7 @@ from .errors import (
 CONTEXT_TOLERANCE = 1e-12
 #: Tolerance on the mixture weight sum.
 WEIGHT_TOLERANCE = 1e-12
-#: Most mixtures the descriptor syntax nests one inside another.
+#: Most mixtures that may nest one inside another.
 MAX_MIX_DEPTH = 32
 
 
@@ -265,6 +265,8 @@ class Generator(_Normalised):
 @dataclass(frozen=True)
 class Mixture(NegatorDescriptor):
     components: tuple[tuple[float, NegatorDescriptor], ...]
+    #: Mixtures nested here, this one included: at most MAX_MIX_DEPTH.
+    depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         components = tuple((float(w), d) for w, d in self.components)
@@ -276,6 +278,10 @@ class Mixture(NegatorDescriptor):
                 raise WeightError(f"mixture weight {weight!r} lies outside [0, 1]")
             if not isinstance(inner, NegatorDescriptor):
                 raise DescriptorError(f"mixture component {inner!r} is not a descriptor")
+        depth = 1 + max((inner.depth for _, inner in components if isinstance(inner, Mixture)), default=0)
+        if depth > MAX_MIX_DEPTH:
+            raise DescriptorError(f"mixtures nest more than {MAX_MIX_DEPTH} deep")
+        object.__setattr__(self, "depth", depth)
         total = math.fsum(w for w, _ in components)
         if abs(total - 1.0) > WEIGHT_TOLERANCE:
             raise WeightError(f"mixture weights sum to {total!r}, expected 1")

@@ -520,6 +520,9 @@ class TestInputDocument:
             ([{"label": "a", "values": [10**400, 0]}], "'a': component 1 = inf"),
             ([{"label": "a", "values": 0.5}], "'a' needs a 'values' list"),
             ([{"label": "a"}], "'a' needs a 'values' list"),
+            # The first faulty entry in document order is the one named.
+            ([{"label": "a", "values": [0.6, 0.6]}, {"label": "a", "values": [0.5, 0.5]}],
+             "'a': components sum to 1.2"),
         ],
     )
     def test_malformed_entries_exit_2_naming_the_entry(self, capsys, tmp_path, distributions, named):
@@ -544,6 +547,21 @@ class TestInputDocument:
         code, out, _ = run(capsys, "entropy", "--input", path)
         assert code == 0
         assert json.loads(out)["results"][0]["entropy"] == 0.0
+
+    def test_a_text_token_that_is_no_number_names_its_label(self, capsys, tmp_path):
+        code, out, err = run(capsys, "entropy", "--input", write_input(tmp_path, "0.5 0.5\n0.5 x\n"))
+        assert (code, out) == (2, "")
+        assert err == "pdneg: distribution 'pd2': could not convert string to float: 'x'\n"
+
+    def test_an_input_file_is_utf_8_whatever_the_locale(self, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_bytes(b'{"distributions": [{"label": "caf\xc3\xa9", "values": [0.5, 0.5]}]}')
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        done = subprocess.run([sys.executable, "-m", "pdneg", "entropy", "--input", str(path)],
+                              capture_output=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert b'"label": "caf\\u00e9"' in done.stdout
 
 
 

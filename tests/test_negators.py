@@ -358,6 +358,19 @@ class TestMixture:
         with pytest.raises(EmptyMixture):
             mixture([])
 
+    def test_mixtures_built_in_code_nest_at_most_max_mix_depth_deep(self):
+        # A plain loop, not a hypothesis draw: hypothesis raises the recursion
+        # limit, under which an unbounded nest would not overflow.
+        nested = YAGER
+        for _ in range(MAX_MIX_DEPTH):
+            nested = Mixture(((1.0, nested),))
+        half = validate_distribution([0.5, 0.5])
+        assert apply_transformation(nested, half) == apply_transformation(YAGER, half)
+        assert nested.spec_string().count("mix") == MAX_MIX_DEPTH
+        with pytest.raises(DescriptorError) as excinfo:
+            Mixture(((1.0, nested),))
+        assert str(excinfo.value) == f"mixtures nest more than {MAX_MIX_DEPTH} deep"
+
 
 class TestLinearFamily:
     def test_alpha_zero_coincides_with_yager(self):
