@@ -22,11 +22,10 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
-from .core import Distribution, EntropyReport, entropy, require_length, uniform_distribution
+from .core import Distribution, EntropyReport, _Frozen, entropy, require_length, uniform_distribution
 from .errors import ArgumentError, ContextMismatch, IndependenceRequired, LengthMismatch, NegatorRequired
 from .negators import (
     CONTEXT_TOLERANCE,
@@ -49,18 +48,17 @@ MAX_COMPONENT_EVALUATIONS = 10**6
 GRID_BLOCK = 2048
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Frozen):
     """One point at which a checked property fails.
 
     ``location`` is a grid probability, a 1-based component index, or a
     1-based index pair, depending on the check.
     """
 
-    location: object
-    expected: float
-    actual: float
-    magnitude: float
+    FIELDS = ("location", "expected", "actual", "magnitude")
+
+    def __init__(self, location: object, expected: float, actual: float, magnitude: float) -> None:
+        self.__dict__.update(location=location, expected=expected, actual=actual, magnitude=magnitude)
 
     def to_dict(self) -> dict:
         location = list(self.location) if isinstance(self.location, tuple) else self.location
@@ -72,23 +70,18 @@ class Violation:
         }
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Frozen):
     """Outcome of one property check; ``passed`` is true iff there are no violations.
 
     ``grid_size`` is 0 for checks that do not sweep a grid.
     """
 
-    check_name: str
-    violations: tuple[Violation, ...]
-    grid_size: int
-    tolerance: float
-    seed: int | None = None
-    notes: tuple[str, ...] = ()
+    FIELDS = ("check_name", "violations", "grid_size", "tolerance", "seed", "notes")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "violations", tuple(self.violations))
-        object.__setattr__(self, "notes", tuple(self.notes))
+    def __init__(self, check_name: str, violations: Iterable[Violation], grid_size: int, tolerance: float,
+                 seed: int | None = None, notes: Iterable[str] = ()) -> None:
+        self.__dict__.update(check_name=check_name, violations=tuple(violations), grid_size=grid_size,
+                             tolerance=tolerance, seed=seed, notes=tuple(notes))
 
     @property
     def passed(self) -> bool:
@@ -108,13 +101,13 @@ class CheckReport:
         return report
 
 
-@dataclass(frozen=True)
-class LinearityVerdict:
+class LinearityVerdict(_Frozen):
     """Whether a descriptor behaves as a linear negator on a grid."""
 
-    is_linear: bool
-    alpha_estimate: float | None
-    max_residual: float
+    FIELDS = ("is_linear", "alpha_estimate", "max_residual")
+
+    def __init__(self, is_linear: bool, alpha_estimate: float | None, max_residual: float) -> None:
+        self.__dict__.update(is_linear=is_linear, alpha_estimate=alpha_estimate, max_residual=max_residual)
 
     def to_dict(self) -> dict:
         return {
@@ -124,13 +117,14 @@ class LinearityVerdict:
         }
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(_Frozen):
     """Distributions under repeated negation, with per-step diagnostics."""
 
-    steps: tuple[Distribution, ...]
-    distances_to_uniform: tuple[float, ...]
-    entropies: tuple[float, ...]
+    FIELDS = ("steps", "distances_to_uniform", "entropies")
+
+    def __init__(self, steps: tuple[Distribution, ...], distances_to_uniform: tuple[float, ...],
+                 entropies: tuple[float, ...]) -> None:
+        self.__dict__.update(steps=steps, distances_to_uniform=distances_to_uniform, entropies=entropies)
 
 
 def check_negation_pair(p_dist: Distribution, q_dist: Distribution, tolerance: float = CHECK_TOLERANCE) -> CheckReport:
@@ -433,13 +427,15 @@ PROBE_VALUE = 0.5
 PROBE_CONTEXTS = 8
 
 
-@dataclass(frozen=True)
-class Audit:
+class Audit(_Frozen):
     """Each check's result by name, in the order :func:`audit` ran them: a
     CheckReport, the LinearityVerdict, or the check's IndependenceRequired or
     NegatorRequired.  ``passed`` counts the CheckReports only."""
 
-    results: Mapping[str, CheckReport | LinearityVerdict | IndependenceRequired | NegatorRequired]
+    FIELDS = ("results",)
+
+    def __init__(self, results: Mapping[str, CheckReport | LinearityVerdict | IndependenceRequired | NegatorRequired]):
+        self.__dict__["results"] = results
 
     @property
     def passed(self) -> bool:

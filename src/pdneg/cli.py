@@ -51,7 +51,6 @@ import math
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice
-from pathlib import Path
 from types import SimpleNamespace
 
 from .analysis import (CHECK_TOLERANCE, DEFAULT_GRID_SIZE, MAX_COMPONENT_EVALUATIONS, audit, iterate_negation,
@@ -87,7 +86,11 @@ def _read_input(args) -> list[tuple[str, Distribution]]:
     splits the row) and must encode to stdout's encoding (a stdout without
     one, such as io.StringIO, takes any text).  JSON escapes labels to ASCII.
     """
-    text = sys.stdin.read() if args.input in (None, "-") else Path(args.input).read_text(encoding="utf-8")
+    if args.input in (None, "-"):
+        text = sys.stdin.read()
+    else:
+        with open(args.input, encoding="utf-8") as document:
+            text = document.read()
     csv_encoding = (getattr(sys.stdout, "encoding", None) or "utf-8") if args.format == "csv" else None
     distributions: list[tuple[str, Distribution]] = []
     seen: set[str] = set()

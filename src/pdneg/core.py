@@ -9,8 +9,7 @@ checked elsewhere are stated on index pairs of the original ordering.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import ComponentIndexError, LengthError, RangeError, SumError
 
@@ -31,16 +30,44 @@ def _check_simplex(values: tuple[float, ...], tolerance: float) -> None:
         raise SumError(f"components sum to {total!r}, expected 1 within {tolerance!r}")
 
 
-@dataclass(frozen=True)
-class Distribution:
+class _Frozen:
+    """An immutable value named by its ``FIELDS``: equal to another of its
+    exact class with equal fields, hashed by them and shown as
+    ``QualName(field=value, ...)``.  Its constructor writes the fields into
+    ``self.__dict__``; any later assignment or deletion raises."""
+
+    FIELDS: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.FIELDS])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.FIELDS])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Distribution(_Frozen):
     """A finite probability distribution, validated at construction."""
 
-    values: tuple[float, ...]
-    tolerance: InitVar[float] = DEFAULT_TOLERANCE
+    FIELDS = ("values",)
 
-    def __post_init__(self, tolerance: float) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        _check_simplex(self.values, tolerance)
+    def __init__(self, values: Iterable[float], tolerance: float = DEFAULT_TOLERANCE) -> None:
+        values = tuple([float(v) for v in values])
+        _check_simplex(values, tolerance)
+        self.__dict__["values"] = values
 
     @property
     def n(self) -> int:
@@ -56,13 +83,13 @@ class Distribution:
         return self.values[index]
 
 
-@dataclass(frozen=True)
-class EntropyReport:
+class EntropyReport(_Frozen):
     """Entropy of a distribution and of its image under a transformation."""
 
-    input_entropy: float
-    output_entropy: float
-    delta: float
+    FIELDS = ("input_entropy", "output_entropy", "delta")
+
+    def __init__(self, input_entropy: float, output_entropy: float, delta: float) -> None:
+        self.__dict__.update(input_entropy=input_entropy, output_entropy=output_entropy, delta=delta)
 
 
 def validate_distribution(values: Iterable[float], tolerance: float = DEFAULT_TOLERANCE) -> Distribution:

@@ -63,10 +63,9 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
-from .core import DEFAULT_TOLERANCE, Distribution, require_length
+from .core import DEFAULT_TOLERANCE, Distribution, _Frozen, require_length
 from .errors import (
     ArgumentError,
     ContextMismatch,
@@ -117,15 +116,14 @@ class NegatorDescriptor:
         raise DescriptorError(f"unknown descriptor type {type(self).__name__}")
 
 
-@dataclass(frozen=True)
-class Identity(NegatorDescriptor):
+class Identity(_Frozen, NegatorDescriptor):
     claims_pd_independent = True
 
     def images(self, values, n, context=None):
         return list(values)
 
 
-class _LinearFamily(NegatorDescriptor):
+class _LinearFamily(_Frozen, NegatorDescriptor):
     """N(p) = alpha/n + (1 - alpha)(1 - p)/(n - 1); uniform is alpha = 1, Yager alpha = 0."""
 
     claims_negator = True
@@ -142,7 +140,7 @@ class _LinearFamily(NegatorDescriptor):
         return [head + slope * (1.0 - p) / (n - 1) for p in values]
 
 
-class _Normalised(NegatorDescriptor):
+class _Normalised(_Frozen, NegatorDescriptor):
     """N(p) = f(p) / sum f(p_i) over the context; ``numerators(values)`` gives f at each value."""
 
     def images(self, values, n, context=None):
@@ -154,7 +152,9 @@ class _Normalised(NegatorDescriptor):
         for p in values:  # an exact match first; the tolerance scan only without one
             if p not in context and min(abs(c - p) for c in context) > CONTEXT_TOLERANCE:
                 raise ContextMismatch(f"{p!r} is not a component of the context distribution")
-        terms = self.numerators([min(max(c, 0.0), 1.0) for c in context])
+        if min(context) < 0.0 or max(context) > 1.0:
+            context = [min(max(c, 0.0), 1.0) for c in context]
+        terms = self.numerators(context)
         return self._normalise(self.numerators(values), terms)
 
     def _normalise(self, numerators: list[float], terms: list[float]) -> list[float]:
@@ -170,33 +170,30 @@ class _Normalised(NegatorDescriptor):
         raise ContextRequired(f"{type(self).__name__} is pd-dependent and needs a context distribution")
 
 
-@dataclass(frozen=True)
 class RootSum(_Normalised):
     def numerators(self, values):
         return [math.sqrt(p) for p in values]
 
 
-@dataclass(frozen=True)
 class Uniform(_LinearFamily):
     alpha = 1.0
 
 
-@dataclass(frozen=True)
 class Yager(_LinearFamily):
     alpha = 0.0
 
 
-@dataclass(frozen=True)
 class Tsallis(_Normalised):
-    k: float
+    FIELDS = ("k",)
     claims_negator = True
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", float(self.k))
+    def __init__(self, k: float) -> None:
+        k = float(k)
         # k < 0 would make the generator 1 - p^k non-positive on (0, 1]
         # and undefined at 0, so only k > 0 is admitted.
-        if not (math.isfinite(self.k) and self.k > 0):
-            raise RangeError(f"Tsallis parameter k must be > 0, got {self.k!r}")
+        if not (math.isfinite(k) and k > 0):
+            raise RangeError(f"Tsallis parameter k must be > 0, got {k!r}")
+        self.__dict__["k"] = k
 
     def spec_string(self) -> str:
         return f"tsallis:k={self.k!r}"
@@ -208,20 +205,19 @@ class Tsallis(_Normalised):
         return [0.0 - math.expm1(k * math.log(p)) if p > 0.0 else 1.0 for p in values]
 
 
-@dataclass(frozen=True)
 class Linear(_LinearFamily):
-    alpha: float
+    FIELDS = ("alpha",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", float(self.alpha))
-        if not (math.isfinite(self.alpha) and 0.0 <= self.alpha <= 1.0):
-            raise RangeError(f"Linear parameter alpha must lie in [0, 1], got {self.alpha!r}")
+    def __init__(self, alpha: float) -> None:
+        alpha = float(alpha)
+        if not (math.isfinite(alpha) and 0.0 <= alpha <= 1.0):
+            raise RangeError(f"Linear parameter alpha must lie in [0, 1], got {alpha!r}")
+        self.__dict__["alpha"] = alpha
 
     def spec_string(self) -> str:
         return f"linear:alpha={self.alpha!r}"
 
 
-@dataclass(frozen=True)
 class Generator(_Normalised):
     """Descriptor backed by a caller-supplied generator function.
 
@@ -237,10 +233,12 @@ class Generator(_Normalised):
     q = (1 - p)/(n - 1), which by the claim is as good as any other.
     """
 
-    fn: Callable[[float], float]
-    label: str = "generator"
-    claims_pd_independent: bool = False
+    FIELDS = ("fn", "label", "claims_pd_independent")
     claims_negator = True
+
+    def __init__(self, fn: Callable[[float], float], label: str = "generator",
+                 claims_pd_independent: bool = False) -> None:
+        self.__dict__.update(fn=fn, label=label, claims_pd_independent=claims_pd_independent)
 
     def spec_string(self) -> str:
         return f"generator:{self.label}"
@@ -262,15 +260,14 @@ class Generator(_Normalised):
         return out
 
 
-@dataclass(frozen=True)
-class Mixture(NegatorDescriptor):
-    components: tuple[tuple[float, NegatorDescriptor], ...]
-    #: Mixtures nested here, this one included: at most MAX_MIX_DEPTH.
-    depth: int = field(init=False, repr=False, compare=False)
+class Mixture(_Frozen, NegatorDescriptor):
+    """``depth`` counts the mixtures nested here, this one included: at most
+    MAX_MIX_DEPTH.  It is not a field, so it is neither shown nor compared."""
 
-    def __post_init__(self) -> None:
-        components = tuple((float(w), d) for w, d in self.components)
-        object.__setattr__(self, "components", components)
+    FIELDS = ("components",)
+
+    def __init__(self, components: Iterable[tuple[float, NegatorDescriptor]]) -> None:
+        components = tuple((float(w), d) for w, d in components)
         if not components:
             raise EmptyMixture("a mixture needs at least one component")
         for weight, inner in components:
@@ -281,12 +278,12 @@ class Mixture(NegatorDescriptor):
         depth = 1 + max((inner.depth for _, inner in components if isinstance(inner, Mixture)), default=0)
         if depth > MAX_MIX_DEPTH:
             raise DescriptorError(f"mixtures nest more than {MAX_MIX_DEPTH} deep")
-        object.__setattr__(self, "depth", depth)
         total = math.fsum(w for w, _ in components)
         if abs(total - 1.0) > WEIGHT_TOLERANCE:
             raise WeightError(f"mixture weights sum to {total!r}, expected 1")
+        self.__dict__.update(components=components, depth=depth)
         for claim, combine in (("claims_negator", all), ("claims_pd_independent", all), ("uses_length", any)):
-            object.__setattr__(self, claim, combine(getattr(inner, claim) for _, inner in components))
+            self.__dict__[claim] = combine(getattr(inner, claim) for _, inner in components)
 
     def spec_string(self) -> str:
         inner = ",".join(f"{w!r}*{d.spec_string()}" for w, d in self.components)
@@ -378,7 +375,7 @@ def mixture(components: Sequence[tuple[float, NegatorDescriptor]] | Iterable[tup
     The result claims to be a negator (resp. pd-independent) exactly when
     every component does.
     """
-    return Mixture(tuple(components))
+    return Mixture(components)
 
 
 def linear_from_alpha(alpha: float) -> Linear:
@@ -493,7 +490,7 @@ class _Parser:
                 self.pos += 1
                 components.append(self.weighted(depth + 1))
             self.expect("]")
-            return Mixture(tuple(components))
+            return Mixture(components)
         self.pos -= len(name)
         self.fail(f"unknown negator {name!r}")
         raise AssertionError("unreachable")

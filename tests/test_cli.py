@@ -563,6 +563,14 @@ class TestInputDocument:
         assert done.returncode == 0, done.stderr
         assert b'"label": "caf\\u00e9"' in done.stdout
 
+    @pytest.mark.parametrize("name", ["missing.txt", "."])
+    def test_an_input_that_cannot_be_opened_exits_2_with_opens_error(self, capsys, tmp_path, name):
+        path = str(tmp_path / name)
+        with pytest.raises(OSError) as excinfo:
+            open(path, encoding="utf-8")
+        code, out, err = run(capsys, "entropy", "--input", path)
+        assert (code, out, err) == (2, "", f"pdneg: {excinfo.value}\n")
+
 
 
 class TestLabelEncoding:
@@ -661,3 +669,12 @@ class TestModuleEntryPoints:
         assert json.loads(done.stdout)["results"][0]["entropy"] == pytest.approx(0.70, abs=1e-12)
         usage = subprocess.run([sys.executable, "-m", module], capture_output=True, text=True, env=env, timeout=60)
         assert usage.returncode == 2
+
+
+class TestStartup:
+    def test_starting_the_cli_loads_no_module_it_has_no_need_of(self):
+        tests = Path(__file__).resolve().parent
+        done = subprocess.run([sys.executable, "-I", str(tests / "startup_modules.py"), str(tests.parent / "src")],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "pdneg.cli" in done.stdout.split()
