@@ -542,6 +542,83 @@ class TestInputDocument:
         assert "nests too deeply" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("opening,middle,closing", [
+        ('{"a": ', "1", "}"),
+        ('[{"label": "a", "values": [0.5, ', "0.5", "]}]"),
+    ], ids=["objects", "entry-values"])
+    def test_deeply_nested_objects_and_values_exit_2(self, capsys, tmp_path, opening, middle, closing):
+        depth = 50_000
+        text = '{"distributions": ' + opening * depth + middle + closing * depth + "}"
+        code, out, err = run(capsys, "entropy", "--input", write_input(tmp_path, text, "input.json"))
+        assert (code, out) == (2, "")
+        assert err == "pdneg: input document nests too deeply\n"
+
+    # The document is decoded whole before any entry is checked.
+    @pytest.mark.parametrize("faulty", [
+        '{"label": "a", "values": [0.6, 0.6]}',
+        '{"label": "a", "values": [0.5, "x"]}',
+        '{"values": [0.5, 0.5]}',
+        "7",
+    ])
+    def test_a_syntax_error_beats_an_earlier_faulty_entry(self, capsys, tmp_path, faulty):
+        text = '{"distributions": [' + faulty + ', {"label": "b", "values": [0.5, 0.5]]}'
+        with pytest.raises(json.JSONDecodeError) as excinfo:
+            json.loads(text)
+        code, out, err = run(capsys, "entropy", "--input", write_input(tmp_path, text, "input.json"))
+        assert (code, out, err) == (2, "", f"pdneg: {excinfo.value}\n")
+
+    @pytest.mark.parametrize("first", ['[{"label": "b", "values": [1, 0]}]', '[{"label": "a", "values": [2, 0]}]', "7"])
+    def test_the_last_of_repeated_distributions_keys_is_read(self, capsys, tmp_path, first):
+        text = '{"distributions": ' + first + ', "distributions": [{"label": "a", "values": [0.5, 0.5]}]}'
+        code, out, err = run(capsys, "entropy", "--input", write_input(tmp_path, text, "input.json"))
+        assert (code, err) == (0, "")
+        assert out == '{"command": "entropy", "results": [{"label": "a", "n": 2, "entropy": 0.5}]}\n'
+
+    # An object shaped like an entry is rendered as written wherever it is not one.
+    @pytest.mark.parametrize("distributions,message", [
+        ('[{"label": "a", "values": [{"label": "x", "values": [0.5, 0.5]}, 0.5]}]',
+         'distribution \'a\': value #1 is {"label": "x", "values": [0.5, 0.5]}, expected a number'),
+        ('[{"label": "a", "values": [0.5, {"label": "x", "values": [1, -0], "w": 2}]}]',
+         'distribution \'a\': value #2 is {"label": "x", "values": [1.0, -0.0], "w": 2.0}, expected a number'),
+        ('[{"label": "a", "values": [0.5, [{"label": "x", "values": [0.6, 0.6]}]]}]',
+         'distribution \'a\': value #2 is [{"label": "x", "values": [0.6, 0.6]}], expected a number'),
+        ('[{"label": "a", "values": [1, 0]}, [{"values": [0.5, 0.5], "label": "x"}]]',
+         'distribution entry #2 is [{"values": [0.5, 0.5], "label": "x"}], expected an object'),
+        ('[[{"label": "x", "label": "y", "values": [0.5, 0.5]}, {"label": "z", "values": [1e999, 0]}]]',
+         'distribution entry #1 is [{"label": "y", "values": [0.5, 0.5]}, {"label": "z", "values": [Infinity, 0.0]}], '
+         'expected an object'),
+    ])
+    def test_a_nested_entry_shaped_object_is_rendered_as_written(self, capsys, tmp_path, distributions, message):
+        text = '{"distributions": ' + distributions + "}"
+        code, out, err = run(capsys, "entropy", "--input", write_input(tmp_path, text, "input.json"))
+        assert (code, out, err) == (2, "", f"pdneg: {message}\n")
+
+    @pytest.mark.parametrize("document,expected", [
+        ('{"label": "x", "values": [0.5, 0.5]}', None),
+        ('{"label": "x", "values": [0.6, 0.6], "distributions": [{"label": "a", "values": [1, 0]}]}', "a"),
+        ('{"meta": {"label": "a", "values": [0.5, 0.5]}, "distributions": [{"label": "b", "values": [1, 0]}], '
+         '"more": [{"label": "c", "values": [0.25, 0.75]}]}', "b"),
+        ('{"distributions": [{"label": "a", "values": [1, 0], "note": {"label": "a", "values": [0.5, 0.5]}}, '
+         '{"values": [0, 1], "label": "b", "n": 2}]}', "a b"),
+    ])
+    def test_entry_shaped_objects_elsewhere_are_not_entries(self, capsys, tmp_path, document, expected):
+        code, out, err = run(capsys, "entropy", "--format", "csv", "--input", write_input(tmp_path, document))
+        if expected is None:
+            assert (code, out, err) == (2, "", "pdneg: input document needs a non-empty 'distributions' list\n")
+        else:
+            assert (code, err) == (0, "")
+            assert [row.split(",")[0] for row in out.splitlines()[1:]] == expected.split()
+            assert all(row.endswith(",2,0") for row in out.splitlines()[1:])
+
+    # str.splitlines ends a line at each of these; iterating a file's lines does not.
+    @pytest.mark.parametrize("separator", ["\x0c", "\x1c", "\x85", "\u2028", "\r", "\r\n"])
+    def test_text_lines_end_where_splitlines_ends_them(self, capsys, tmp_path, separator):
+        path = tmp_path / "input.txt"
+        path.write_bytes(f"0.5 0.5{separator}0.25, 0.75\n\n1 0{separator}".encode("utf-8"))
+        code, out, err = run(capsys, "entropy", "--format", "csv", "--input", str(path))
+        assert (code, err) == (0, "")
+        assert out == "label,n,entropy\npd1,2,0.5\npd2,2,0.375\npd3,2,0\n"
+
     def test_integer_values_are_numbers(self, capsys, tmp_path):
         path = write_input(tmp_path, json.dumps({"distributions": [{"label": "a", "values": [1, 0]}]}))
         code, out, _ = run(capsys, "entropy", "--input", path)
