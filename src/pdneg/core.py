@@ -9,9 +9,9 @@ checked elsewhere are stated on index pairs of the original ordering.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
-from .errors import ComponentIndexError, LengthError, RangeError, SumError
+from .errors import ComponentIndexError, ComponentTypeError, LengthError, RangeError, SumError
 
 #: Default tolerance for the |sum - 1| and per-component range checks.
 DEFAULT_TOLERANCE = 1e-9
@@ -19,7 +19,7 @@ DEFAULT_TOLERANCE = 1e-9
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
 
 
-def _check_simplex(values: tuple[float, ...], tolerance: float) -> None:
+def _check_simplex(values: Sequence[float], tolerance: float) -> None:
     if len(values) < 2:
         raise LengthError(f"a distribution needs at least 2 components, got {len(values)}")
     for index, value in enumerate(values):
@@ -28,6 +28,19 @@ def _check_simplex(values: tuple[float, ...], tolerance: float) -> None:
     total = math.fsum(values)
     if abs(total - 1.0) > tolerance:
         raise SumError(f"components sum to {total!r}, expected 1 within {tolerance!r}")
+
+
+def _component(value, index: int) -> float:
+    """A component as a float; refuses what float() would read as a number
+    but is none: str, bytes, bytearray, bool and None."""
+    if value is not None and not isinstance(value, (str, bytes, bytearray, bool)):
+        try:
+            return float(value)
+        except OverflowError:  # an int or Fraction beyond float range, too long to show
+            raise RangeError(f"component {index} lies outside [0, 1], beyond float range") from None
+        except (TypeError, ValueError):
+            pass
+    raise ComponentTypeError(f"component {index} = {value!r} is not a number")
 
 
 class _Frozen:
@@ -60,12 +73,20 @@ class _Frozen:
 
 
 class Distribution(_Frozen):
-    """A finite probability distribution, validated at construction."""
+    """A finite probability distribution, validated at construction.
+
+    Components may be floats, ints, fractions.Fraction, decimal.Decimal or
+    any other number that float() converts; each is stored as a float.
+    """
 
     FIELDS = ("values",)
 
     def __init__(self, values: Iterable[float], tolerance: float = DEFAULT_TOLERANCE) -> None:
-        values = tuple([float(v) for v in values])
+        values = tuple(values)
+        for value in values:
+            if type(value) is not float:
+                values = tuple([_component(v, index) for index, v in enumerate(values, start=1)])
+                break
         _check_simplex(values, tolerance)
         self.__dict__["values"] = values
 
@@ -83,6 +104,14 @@ class Distribution(_Frozen):
         return self.values[index]
 
 
+def _checked_distribution(values: tuple[float, ...]) -> Distribution:
+    """The distribution of float values that _check_simplex has passed, built
+    without a second check."""
+    dist = object.__new__(Distribution)
+    dist.__dict__["values"] = values
+    return dist
+
+
 class EntropyReport(_Frozen):
     """Entropy of a distribution and of its image under a transformation."""
 
@@ -93,13 +122,16 @@ class EntropyReport(_Frozen):
 
 
 def validate_distribution(values: Iterable[float], tolerance: float = DEFAULT_TOLERANCE) -> Distribution:
-    """Validate an arbitrary real sequence as a probability distribution.
+    """Validate a sequence of real numbers as a probability distribution.
 
-    Raises :class:`LengthError`, :class:`RangeError` (naming the first
-    offending 1-based index) or :class:`SumError` (reporting the actual sum)
-    when the sequence is not a distribution under ``tolerance``.
+    The components may be of the types :class:`Distribution` admits.  Raises
+    :class:`ComponentTypeError` (naming the first 1-based index holding a
+    str, bytes, bytearray, bool, None or other non-number),
+    :class:`LengthError`, :class:`RangeError` (naming the first offending
+    1-based index) or :class:`SumError` (reporting the actual sum) when the
+    sequence is not a distribution under ``tolerance``.
     """
-    return Distribution(tuple(values), tolerance)
+    return Distribution(values, tolerance)
 
 
 def require_length(n: int) -> None:

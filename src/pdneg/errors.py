@@ -28,6 +28,10 @@ class SumError(NegationError, ValueError):
     """Distribution components do not sum to 1 within tolerance."""
 
 
+class ComponentTypeError(NegationError, ValueError):
+    """A distribution component is not a number (a str, bytes, bool or None)."""
+
+
 class ComponentIndexError(NegationError, IndexError):
     """A 1-based component index is outside 1..n."""
 

@@ -480,6 +480,11 @@ class TestReportMemory:
     def reading(self, paths):
         return self.peak(["entropy"], *paths)
 
+    # While it decodes, the reader holds the text, one array of the values
+    # and a token per entry, never an entry's dict, list or floats.
+    def test_the_entropy_report_peaks_within_four_times_the_document(self, paths, reading):
+        assert reading <= 4 * os.path.getsize(paths[0])
+
     @pytest.mark.parametrize("argv", [["negate", "yager"], ["iterate", "yager", "--steps", "3"],
                                       ["sweep-alpha", "--alphas", "11"]])
     @pytest.mark.parametrize("fmt", ["json", "csv"])

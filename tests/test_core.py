@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,9 @@ from conftest import EXAMPLE_PD, simplexes
 from pdneg import (
     YAGER,
     ComponentIndexError,
+    ComponentTypeError,
     Distribution,
+    NegationError,
     LengthError,
     RangeError,
     SumError,
@@ -62,6 +65,31 @@ class TestValidateDistribution:
         values = (-1e-12, 0.5, 0.5)
         dist = validate_distribution(values)
         assert dist.values == values
+
+    @pytest.mark.parametrize("values,index", [
+        (["0.5", " 0.5 "], 1),
+        ((0.5, b"0.5"), 2),
+        ((0.5, bytearray(b"0.5")), 2),
+        ([True, False], 1),
+        ((1, False), 2),
+        ((0.5, None, 0.5), 2),
+        ((0.5, [0.5]), 2),
+    ])
+    def test_a_component_that_is_no_number_is_refused_by_index(self, values, index):
+        with pytest.raises(ComponentTypeError, match=f"^component {index} = .* is not a number$") as excinfo:
+            validate_distribution(values)
+        assert isinstance(excinfo.value, ValueError) and isinstance(excinfo.value, NegationError)
+
+    @pytest.mark.parametrize("big", [10**400, Fraction(10**400, 3)])
+    def test_a_number_beyond_float_range_is_out_of_range(self, big):
+        with pytest.raises(RangeError, match="^component 2 lies outside"):
+            validate_distribution((1, big))
+
+    @pytest.mark.parametrize("values", [(1, 0), (Fraction(1, 4), Fraction(3, 4)), (Decimal("0.25"), 0.75)])
+    def test_ints_fractions_and_decimals_are_stored_as_floats(self, values):
+        dist = validate_distribution(values)
+        assert dist.values == tuple(float(v) for v in values)
+        assert all(type(v) is float for v in dist.values)
 
     @given(simplexes())
     def test_revalidating_a_distribution_is_the_identity(self, dist):
