@@ -60,6 +60,9 @@ COMMANDS = [
     ("check-tsallis", ["check", "tsallis:k=2", "--n", "5"], 1),
     ("check-identity", ["check", "identity", "--n", "5"], 0),
     ("check-mix", ["check", "mix:[0.3*linear:alpha=0.2,0.7*yager]", "--n", "5"], 0),
+    # The wide path: n = 1000 contexts in the probe and a 10001-point sweep.
+    ("check-tsallis-n1000", ["check", "tsallis:k=2", "--n", "1000", "--grid", "10001", "--seed", "7"], 1),
+    ("check-mix-n1000", ["check", "mix:[0.3*linear:alpha=0.2,0.7*yager]", "--n", "1000", "--grid", "10001"], 0),
 ]
 # (name, argv, exit code), run on QUOTED_DOCUMENT
 QUOTED_COMMANDS = [
