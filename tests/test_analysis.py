@@ -675,6 +675,22 @@ class TestRandomizedInvariants:
                     out = apply_transformation(descriptor, dist)
                     assert check_negation_pair(dist, out).passed
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1])
+    @pytest.mark.parametrize("n", [2, 5, 1000])
+    def test_draws_match_a_loop_over_expovariate(self, n, seed):
+        """Both samplers stay bit-identical to normalised rng.expovariate(1.0) draws."""
+        def reference(length, count, scale):
+            rng = random.Random(seed)
+            for _ in range(count):
+                draws = [rng.expovariate(1.0) for _ in range(length)]
+                total = math.fsum(draws)
+                yield tuple(scale * d / total for d in draws)
+
+        assert [d.values for d in sample_distributions(n, 6, seed)] == list(reference(n, 6, 1.0))
+        for p in (0.0, 0.5):
+            assert [c.values for c in contexts_containing(p, n, 8, seed)] == [
+                (p,) + values for values in reference(n - 1, 8, 1.0 - p)]
+
     def test_sampling_is_seeded_and_valid(self):
         first = sample_distributions(5, 20, seed=9)
         second = sample_distributions(5, 20, seed=9)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from pdneg import (
     uniform_distribution,
     validate_distribution,
 )
+from pdneg.core import DEFAULT_TOLERANCE, _check_simplex
 
 
 class TestValidateDistribution:
@@ -94,6 +96,39 @@ class TestValidateDistribution:
     @given(simplexes())
     def test_revalidating_a_distribution_is_the_identity(self, dist):
         assert validate_distribution(dist.values) == dist
+
+
+INF, NAN, TOL = math.inf, math.nan, DEFAULT_TOLERANCE
+# (values, tolerance, error type, message) for each refusal of the simplex
+# check: every case must keep taking the per-component loop that names it.
+REFUSALS = {
+    "nan-first": ((NAN, 0.5, 0.5), TOL, RangeError, "component 1 = nan lies outside [0, 1]"),
+    "nan-later": ((0.5, NAN, 0.5), TOL, RangeError, "component 2 = nan lies outside [0, 1]"),
+    "nan-last": ((0.5, 0.5, NAN), TOL, RangeError, "component 3 = nan lies outside [0, 1]"),
+    "plus-inf": ((0.5, INF), TOL, RangeError, "component 2 = inf lies outside [0, 1]"),
+    "minus-inf": ((0.5, -INF, 0.5), TOL, RangeError, "component 2 = -inf lies outside [0, 1]"),
+    "past-minus-tol": ((0.5, 0.5, math.nextafter(-TOL, -INF)), TOL, RangeError,
+                       f"component 3 = {math.nextafter(-TOL, -INF)!r} lies outside [0, 1]"),
+    "past-one-plus-tol": ((math.nextafter(1.0 + TOL, INF), 0.0), TOL, RangeError,
+                          f"component 1 = {math.nextafter(1.0 + TOL, INF)!r} lies outside [0, 1]"),
+    "first-of-two-out": ((1.5, -INF), TOL, RangeError, "component 1 = 1.5 lies outside [0, 1]"),
+    "sum-off": ((0.5, 0.5 + 2e-9), TOL, SumError, "components sum to 1.0000000020000002, expected 1 within 1e-09"),
+    "inf-minus-inf-at-inf-tol": ((INF, -INF), INF, ValueError, "-inf + inf in fsum"),
+}
+
+
+@pytest.mark.parametrize("check", [_check_simplex, Distribution], ids=["check_simplex", "Distribution"])
+@pytest.mark.parametrize("values,tolerance,error,message", REFUSALS.values(), ids=REFUSALS)
+def test_each_simplex_refusal_keeps_its_type_index_and_message(check, values, tolerance, error, message):
+    with pytest.raises(error) as excinfo:
+        check(values, tolerance)
+    assert type(excinfo.value) is error and str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("values", [(0.0, 1.0), (-TOL, 1.0 + TOL), (1.0 + TOL, -TOL), (0.25,) * 4])
+def test_components_on_the_tolerance_edges_pass(values):
+    _check_simplex(values, TOL)
+    assert Distribution(values).values == values
 
 
 class TestConstructors:

@@ -4,6 +4,7 @@ and the textual descriptor syntax."""
 from __future__ import annotations
 
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -343,6 +344,24 @@ class TestMixture:
         for k in range(0, 101, 9):
             p = k / 100
             assert evaluate(outer, p, n=5) == pytest.approx(evaluate(expected, p, n=5), abs=1e-15)
+
+    @pytest.mark.parametrize("n", [5, 1000])
+    def test_images_match_the_per_column_weighted_fsum(self, n):
+        def reference(descriptor, values, context):
+            if not isinstance(descriptor, Mixture):
+                return descriptor.images(values, n, context)
+            weights = [w for w, _ in descriptor.components]
+            columns = zip(*(reference(inner, values, context) for _, inner in descriptor.components))
+            return [math.fsum(map(operator.mul, weights, column)) for column in columns]
+
+        linear = mixture([(0.3, Linear(0.2)), (0.7, mixture([(0.25, UNIFORM), (0.75, YAGER)]))])
+        grid = [k / 1000 for k in range(1001)]
+        assert linear.images(grid, n) == reference(linear, grid, None)
+        dependent = mixture([(0.5, Tsallis(2.0)), (0.2, linear), (0.3, mixture([(0.4, ROOT_SUM), (0.6, YAGER)]))])
+        context = sample_distributions(n, 1, seed=n)[0].values
+        assert dependent.images(context, n, context) == reference(dependent, context, context)
+        foreign = [context[0], context[-1], context[n // 2], context[0]]
+        assert dependent.images(foreign, n, context) == reference(dependent, foreign, context)
 
     def test_weight_sum_error_reports_the_actual_sum(self):
         with pytest.raises(WeightError) as excinfo:
