@@ -13,7 +13,14 @@ the balance identity.  Each public check runs the same sweep with itself
 alone; :func:`audit`, the one plan of ``pdneg check``, runs all four in one
 sweep and then the independence probe.  A check's preconditions and one-off
 evaluations, such as N(1/n), N(0) and N(1), run before the sweep.  Every
-check refuses a tolerance that is not a finite number >= 0.
+check refuses a tolerance that is not a finite number >= 0, and every
+comparison against the tolerance fails closed: a NaN or infinite image is a
+violation of magnitude math.inf.
+
+The balance and linearity residuals are taken in builtins (map, max, sum),
+and the seeded samplers draw their unit exponentials as -log(1.0 - random())
+through itertools.islice, which is what random.Random.expovariate(1.0)
+computes; each result is bit-identical to a loop over the values.
 """
 
 from __future__ import annotations
@@ -52,12 +59,16 @@ class Violation(_Frozen):
     """One point at which a checked property fails.
 
     ``location`` is a grid probability, a 1-based component index, or a
-    1-based index pair, depending on the check.
+    1-based index pair, depending on the check.  ``magnitude`` is how far
+    ``actual`` lies from ``expected``; a NaN distance, as from a NaN image,
+    is stored as math.inf.
     """
 
     FIELDS = ("location", "expected", "actual", "magnitude")
 
     def __init__(self, location: object, expected: float, actual: float, magnitude: float) -> None:
+        if magnitude != magnitude:
+            magnitude = math.inf
         self.__dict__.update(location=location, expected=expected, actual=actual, magnitude=magnitude)
 
     def to_dict(self) -> dict:
@@ -179,7 +190,7 @@ def _balance(descriptor: NegatorDescriptor, n: int, ps: list[float]) -> tuple[li
     """N at each value, and the balance residual |N(Y(p)) - Y(N(p))| there."""
     crossed = descriptor.images(YAGER.images(ps, n), n)
     images = descriptor.images(ps, n)
-    return images, [abs(a - b) for a, b in zip(crossed, YAGER.images(images, n))]
+    return images, list(map(abs, map(operator.sub, crossed, YAGER.images(images, n))))
 
 
 class _GridCheck:
@@ -250,7 +261,7 @@ class _FixedPoint(_GridCheck):
         self.sweeps = descriptor.claims_pd_independent and descriptor.claims_negator
         if descriptor.claims_pd_independent:
             at_u = evaluate(descriptor, u, n=n)
-            if abs(at_u - u) > tolerance:
+            if not abs(at_u - u) <= tolerance:
                 self.violations.append(Violation(u, expected=u, actual=at_u, magnitude=abs(at_u - u)))
             if descriptor.claims_negator:
                 _require_grid(grid_size)
@@ -260,15 +271,16 @@ class _FixedPoint(_GridCheck):
             self.notes.append(f"pointwise checks skipped: descriptor {IndependenceRequired.refusal}")
 
     def read(self, points, images, residuals):
-        u, tolerance, violations = self.u, self.tolerance, self.violations
+        u, tolerance, violations, inf = self.u, self.tolerance, self.violations, math.inf
+        below, above = u - tolerance, u + tolerance
         for p, value in zip(points, images):
-            if abs(value - p) <= tolerance:
+            gap = abs(value - p)
+            if gap <= tolerance:
                 if abs(p - u) > tolerance:
                     violations.append(Violation(p, expected=u, actual=p, magnitude=abs(p - u)))
-            elif p < u - tolerance and value < p:
-                violations.append(Violation(p, expected=p, actual=value, magnitude=p - value))
-            elif p > u + tolerance and value > p:
-                violations.append(Violation(p, expected=p, actual=value, magnitude=value - p))
+            # A non-finite image, or one on the wrong side of p away from 1/n.
+            elif not gap < inf or (value < p if p < below else value > p and p > above):
+                violations.append(Violation(p, expected=p, actual=value, magnitude=gap))
 
 
 def fixed_point_check(
@@ -314,7 +326,7 @@ class _FunctionalEquation(_GridCheck):
     def read(self, points, images, residuals):
         tolerance = self.tolerance
         self.violations.extend(Violation(p, expected=0.0, actual=residual, magnitude=residual)
-                               for p, residual in zip(points, residuals) if residual > tolerance)
+                               for p, residual in zip(points, residuals) if not residual <= tolerance)
 
 
 def functional_equation_check(
@@ -328,11 +340,10 @@ def functional_equation_check(
 
 
 def _interval_violation(location, value, low, high, tolerance):
+    """The violation of a value outside [low - tolerance, high + tolerance]; a NaN is held against high."""
     if value < low - tolerance:
         return Violation(location, expected=low, actual=value, magnitude=low - value)
-    if value > high + tolerance:
-        return Violation(location, expected=high, actual=value, magnitude=value - high)
-    return None
+    return Violation(location, expected=high, actual=value, magnitude=value - high)
 
 
 class _BoundaryRange(_GridCheck):
@@ -345,20 +356,18 @@ class _BoundaryRange(_GridCheck):
         self.u, self.high = 1.0 / n, 1.0 / (n - 1)
         at_zero, at_one = descriptor.images([0.0, 1.0], n)
         tied = (1.0 - at_one) / (n - 1)
-        if abs(at_zero - tied) > tolerance:
+        if not abs(at_zero - tied) <= tolerance:
             self.violations.append(Violation(0.0, expected=tied, actual=at_zero, magnitude=abs(at_zero - tied)))
 
     def read(self, points, images, residuals):
         u, high, tolerance, violations = self.u, self.high, self.tolerance, self.violations
+        # N(p) must lie in [0, u] for p >= u and in [u, high] for p <= u, each widened by the tolerance.
+        low_above, high_above, low_below, high_below = 0.0 - tolerance, u + tolerance, u - tolerance, high + tolerance
         for p, value in zip(points, images):
-            if p >= u:
-                candidate = _interval_violation(p, value, 0.0, u, tolerance)
-                if candidate is not None:
-                    violations.append(candidate)
-            if p <= u:
-                candidate = _interval_violation(p, value, u, high, tolerance)
-                if candidate is not None:
-                    violations.append(candidate)
+            if p >= u and not low_above <= value <= high_above:
+                violations.append(_interval_violation(p, value, 0.0, u, tolerance))
+            if p <= u and not low_below <= value <= high_below:
+                violations.append(_interval_violation(p, value, u, high, tolerance))
 
 
 def boundary_range_check(
@@ -388,14 +397,15 @@ class _Linearity(_GridCheck):
         self.n = n
         raw = n * descriptor.images([1.0], n)[0]
         alpha = min(max(raw, 0.0), 1.0)
-        # An n N(1) that leaves [0, 1] by more than the tolerance is no linear negator's alpha.
-        self.sweeps = not abs(alpha - raw) > tolerance
+        # An n N(1) that leaves [0, 1] by more than the tolerance, or is NaN, is no linear negator's alpha.
+        self.sweeps = abs(alpha - raw) <= tolerance
         self.line = Linear(alpha) if self.sweeps else None
         self.max_residual = 0.0 if self.sweeps else math.inf
 
     def read(self, points, images, residuals):
-        on_line = self.line.images(points, self.n)
-        self.max_residual = max(self.max_residual, *map(abs, map(operator.sub, images, on_line)))
+        worst = max(map(abs, map(operator.sub, images, self.line.images(points, self.n))))
+        # max skips a NaN that is not its first argument; a NaN image makes the sum NaN.
+        self.max_residual = max(self.max_residual, math.inf if math.isnan(sum(images)) else worst)
 
     def result(self):
         return LinearityVerdict(
@@ -500,7 +510,7 @@ def independence_probe(
     for group in groups.values():
         for i, j in itertools.combinations(group, 2):
             gap = abs(results[i] - results[j])
-            if gap > tolerance:
+            if not gap <= tolerance:
                 violations.append(Violation((i + 1, j + 1), expected=results[i], actual=results[j], magnitude=gap))
     return CheckReport("independence-probe", violations, 0, tolerance, seed=seed, notes=notes)
 
@@ -556,9 +566,9 @@ def sample_distributions(n: int, count: int, seed: int) -> tuple[Distribution, .
     rng = random.Random(seed)
     samples = []
     for _ in range(count):
-        draws = [rng.expovariate(1.0) for _ in range(n)]
+        draws = _unit_exponentials(rng, n)
         total = math.fsum(draws)
-        samples.append(Distribution(tuple(d / total for d in draws)))
+        samples.append(Distribution([d / total for d in draws]))
     return tuple(samples)
 
 
@@ -573,9 +583,15 @@ def contexts_containing(p: float, n: int, count: int, seed: int) -> tuple[Distri
         raise ArgumentError(f"need 0 <= p < 1 to fill the remaining mass, got {p!r}")
     rng = random.Random(seed)
     contexts = []
+    rest = 1.0 - p
     for _ in range(count):
-        draws = [rng.expovariate(1.0) for _ in range(n - 1)]
+        draws = _unit_exponentials(rng, n - 1)
         total = math.fsum(draws)
-        rest = tuple((1.0 - p) * d / total for d in draws)
-        contexts.append(Distribution((p,) + rest))
+        contexts.append(Distribution([p] + [rest * d / total for d in draws]))
     return tuple(contexts)
+
+
+def _unit_exponentials(rng: random.Random, count: int) -> list[float]:
+    """``count`` unit-exponential draws from ``rng``, bit-identical to as many
+    ``rng.expovariate(1.0)`` calls, which return -log(1.0 - rng.random()) / 1.0."""
+    return [-math.log(1.0 - r) for r in itertools.islice(iter(rng.random, None), count)]

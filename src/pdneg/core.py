@@ -22,7 +22,15 @@ _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
 def _check_simplex(values: Sequence[float], tolerance: float) -> None:
     if len(values) < 2:
         raise LengthError(f"a distribution needs at least 2 components, got {len(values)}")
-    for index, value in enumerate(values):
+    # A NaN anywhere makes the fsum NaN, so this test fails wherever min and
+    # max skip it.  Where fsum raises (inf + -inf, or overflow, under a huge
+    # tolerance), the loop decides and raises what it always has.
+    try:
+        if min(values) >= -tolerance and max(values) <= 1.0 + tolerance and abs(math.fsum(values) - 1.0) <= tolerance:
+            return
+    except (ValueError, OverflowError):
+        pass
+    for index, value in enumerate(values):  # names the first component that fails
         if math.isnan(value) or value < -tolerance or value > 1.0 + tolerance:
             raise RangeError(f"component {index + 1} = {value!r} lies outside [0, 1]")
     total = math.fsum(values)

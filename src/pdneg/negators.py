@@ -64,6 +64,7 @@ import math
 import operator
 import re
 from collections.abc import Callable, Iterable, Sequence
+from itertools import repeat
 
 from .core import DEFAULT_TOLERANCE, Distribution, _Frozen, require_length
 from .errors import (
@@ -136,8 +137,8 @@ class _LinearFamily(_Frozen, NegatorDescriptor):
                 f"{type(self).__name__} evaluation needs the distribution length; pass n= or a context distribution"
             )
         require_length(n)
-        head, slope = self.alpha / n, 1.0 - self.alpha
-        return [head + slope * (1.0 - p) / (n - 1) for p in values]
+        head, slope, rest = self.alpha / n, 1.0 - self.alpha, float(n - 1)
+        return [head + slope * (1.0 - p) / rest for p in values]
 
 
 class _Normalised(_Frozen, NegatorDescriptor):
@@ -290,9 +291,8 @@ class Mixture(_Frozen, NegatorDescriptor):
         return f"mix:[{inner}]"
 
     def images(self, values, n, context=None):
-        weights = [w for w, _ in self.components]
-        columns = zip(*(inner.images(values, n, context) for _, inner in self.components))
-        return [math.fsum(map(operator.mul, weights, column)) for column in columns]
+        weighted = [map(operator.mul, repeat(w), inner.images(values, n, context)) for w, inner in self.components]
+        return list(map(math.fsum, zip(*weighted)))
 
 
 IDENTITY = Identity()

@@ -401,6 +401,74 @@ class TestCheckFailurePaths:
         assert verdict == LinearityVerdict(is_linear=False, alpha_estimate=None, max_residual=math.inf)
 
 
+class _NaNWhere(NegatorDescriptor):
+    """Yager's negator, claiming what Yager claims, but NaN wherever ``spoilt(p, context)`` holds."""
+
+    claims_negator = claims_pd_independent = uses_length = True
+
+    def __init__(self, spoilt):
+        self.spoilt = spoilt
+
+    def images(self, values, n, context=None):
+        return [math.nan if self.spoilt(p, context) else y for p, y in zip(values, YAGER.images(values, n))]
+
+
+class TestNaNImages:
+    """Every comparison against the tolerance fails closed: a NaN image is a
+    violation of magnitude math.inf, and a NaN residual is no linear fit."""
+
+    @staticmethod
+    def assert_nan_violations(report, locations):
+        nan_at = {v.location for v in report.violations if math.isnan(v.actual)}
+        assert locations <= nan_at
+        assert all(v.magnitude == math.inf for v in report.violations if math.isnan(v.actual))
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_a_nan_band_fails_every_grid_check(self, n):
+        band = _NaNWhere(lambda p, context: 0.7 < p < 0.8)
+        found = audit(band, n, grid_size=1001)
+        assert not found.passed
+        spoilt = {k / 1000 for k in range(701, 800)}
+        self.assert_nan_violations(found.results["fixed-point"], spoilt)
+        self.assert_nan_violations(found.results["boundary-range"], spoilt)
+        residuals = found.results["functional-equation"].violations
+        assert spoilt <= {v.location for v in residuals}
+        assert all(v.actual != v.actual and v.magnitude == math.inf for v in residuals)
+        assert found.results["linearity"] == LinearityVerdict(is_linear=False, alpha_estimate=0.0,
+                                                              max_residual=math.inf)
+        assert found.results["independence-probe"].passed
+
+    def test_a_nan_at_one_breaks_the_boundary_tie_and_the_linear_fit(self):
+        at_one = _NaNWhere(lambda p, context: p == 1.0)
+        found = audit(at_one, 5, grid_size=11)
+        tie, *swept = found.results["boundary-range"].violations
+        assert (tie.location, tie.actual, tie.magnitude) == (0.0, 0.25, math.inf) and math.isnan(tie.expected)
+        assert [(v.location, v.expected, v.magnitude) for v in swept] == [(1.0, 0.2, math.inf)]
+        self.assert_nan_violations(found.results["fixed-point"], {1.0})
+        assert found.results["linearity"] == LinearityVerdict(is_linear=False, alpha_estimate=None,
+                                                              max_residual=math.inf)
+
+    def test_a_nan_at_one_over_n_fails_the_fixed_point(self):
+        # NaN at 1/n only without a context: N(uniform) is still uniform.
+        at_u = _NaNWhere(lambda p, context: p == 0.2 and context is None)
+        report = fixed_point_check(at_u, 5, grid_size=11)
+        assert [v.location for v in report.violations] == [0.2, 0.2]
+        self.assert_nan_violations(report, {0.2})
+
+    def test_a_nan_evaluation_fails_the_probe(self):
+        class NaNInThree(NegatorDescriptor):
+            def images(self, values, n, context=None):
+                return [math.nan if len(context) == 3 else 0.5 for _ in values]
+
+        contexts = [Distribution((0.5, 0.5)), Distribution((0.5, 0.25, 0.25)), Distribution((0.5, 0.5))]
+        report = independence_probe(NaNInThree(), 0.5, contexts)
+        assert [(v.location, v.magnitude) for v in report.violations] == [((1, 2), math.inf), ((2, 3), math.inf)]
+
+    def test_violation_stores_a_nan_magnitude_as_infinite(self):
+        assert Violation(0.5, expected=0.2, actual=math.nan, magnitude=math.nan).magnitude == math.inf
+        assert Violation(0.5, expected=0.2, actual=0.3, magnitude=0.1).magnitude == 0.1
+
+
 class _Counted(NegatorDescriptor):
     """A descriptor that counts the values its kernel maps and otherwise acts as ``inner``."""
 
