@@ -7,9 +7,10 @@ Every check returns a :class:`CheckReport` listing each violation with its
 location and magnitude; a report passes exactly when it has no violations.
 
 The four grid checks (fixed point, balance identity, boundary ranges,
-linearity) share one sweep of the grid, in blocks of GRID_BLOCK points:
-it maps each grid point through N once, and once more at Yager's Y(p) for
-the balance identity.  Each public check runs the same sweep with itself
+linearity) share one sweep of the grid, in blocks of GRID_BLOCK points: it
+maps each block's points through N once and hands every check the points
+and their images; the balance-identity check maps the block once more, at
+Yager's Y(p), itself.  Each public check runs the same sweep with itself
 alone; :func:`audit`, the one plan of ``pdneg check``, runs all four in one
 sweep and then the independence probe.  A check's preconditions and one-off
 evaluations, such as N(1/n), N(0) and N(1), run before the sweep.  Every
@@ -186,11 +187,10 @@ def _require_claims(descriptor: NegatorDescriptor, n: int, *, negator: bool = Fa
     require_length(n)
 
 
-def _balance(descriptor: NegatorDescriptor, n: int, ps: list[float]) -> tuple[list[float], list[float]]:
-    """N at each value, and the balance residual |N(Y(p)) - Y(N(p))| there."""
+def _balance(descriptor: NegatorDescriptor, n: int, ps: list[float], images: list[float]) -> list[float]:
+    """The balance residual |N(Y(p)) - Y(N(p))| at each value, given N at each."""
     crossed = descriptor.images(YAGER.images(ps, n), n)
-    images = descriptor.images(ps, n)
-    return images, list(map(abs, map(operator.sub, crossed, YAGER.images(images, n))))
+    return list(map(abs, map(operator.sub, crossed, YAGER.images(images, n))))
 
 
 class _GridCheck:
@@ -199,9 +199,8 @@ class _GridCheck:
     A subclass's constructor runs the check's preconditions, which raise its
     refusals, and its one-off evaluations; once the preconditions hold it
     calls this constructor, which holds the grid size, the tolerance and the
-    violations found so far.  ``read(points, images, residuals)`` then takes
-    each block of the sweep in order: the block's grid points, N at each, and
-    the balance residuals (None unless the check sets ``balance``).  A check
+    violations found so far.  ``read(points, images)`` then takes each block
+    of the sweep in order: the block's grid points and N at each.  A check
     whose ``sweeps`` is false reads no block.  ``result()`` returns what the
     check's public function returns, by default a report of the check's
     ``violations`` over ``grid_size`` points at ``tolerance``.
@@ -209,7 +208,6 @@ class _GridCheck:
 
     name: str
     sweeps = True
-    balance = False
     notes: list[str] | tuple[str, ...] = ()
 
     def __init__(self, grid_size: int, tolerance: float) -> None:
@@ -224,21 +222,19 @@ def _sweep(descriptor: NegatorDescriptor, n: int, grid_size: int, checks: list[_
     """Pass every point p = k/(grid_size - 1) of the grid over [0, 1], in order,
     to each check that sweeps, in blocks of at most GRID_BLOCK points.
 
-    A block's points are built once and mapped by one kernel call; when a
-    check reads the balance residuals, the block also goes through N once at
-    Y(p).  Every kernel without a context maps value by value, so no result
-    depends on the block size.
+    A block's points are built once and mapped by one kernel call (the
+    balance identity maps them once more, at Y(p)).  Every kernel without a
+    context maps value by value, so no result depends on the block size.
     """
     readers = [check for check in checks if check.sweeps]
     if not readers:
         return
-    balance = any(check.balance for check in readers)
     last = grid_size - 1
     for start in range(0, grid_size, GRID_BLOCK):
         points = [k / last for k in range(start, min(start + GRID_BLOCK, grid_size))]
-        images, residuals = _balance(descriptor, n, points) if balance else (descriptor.images(points, n), None)
+        images = descriptor.images(points, n)
         for check in readers:
-            check.read(points, images, residuals)
+            check.read(points, images)
 
 
 def _alone(check_type: type[_GridCheck], descriptor: NegatorDescriptor, n: int, grid_size: int, tolerance: float):
@@ -270,7 +266,7 @@ class _FixedPoint(_GridCheck):
         else:
             self.notes.append(f"pointwise checks skipped: descriptor {IndependenceRequired.refusal}")
 
-    def read(self, points, images, residuals):
+    def read(self, points, images):
         u, tolerance, violations, inf = self.u, self.tolerance, self.violations, math.inf
         below, above = u - tolerance, u + tolerance
         for p, value in zip(points, images):
@@ -311,20 +307,20 @@ def functional_equation_residual(descriptor: NegatorDescriptor, n: int, p: float
     """
     ps = [_coerce_probability(p)]
     _require_claims(descriptor, n)
-    return _balance(descriptor, n, ps)[1][0]
+    return _balance(descriptor, n, ps, descriptor.images(ps, n))[0]
 
 
 class _FunctionalEquation(_GridCheck):
     name = "functional-equation"
-    balance = True
 
     def __init__(self, descriptor, n, grid_size, tolerance):
         _require_grid(grid_size)
         _require_claims(descriptor, n)
         super().__init__(grid_size, tolerance)
+        self.descriptor, self.n = descriptor, n
 
-    def read(self, points, images, residuals):
-        tolerance = self.tolerance
+    def read(self, points, images):
+        tolerance, residuals = self.tolerance, _balance(self.descriptor, self.n, points, images)
         self.violations.extend(Violation(p, expected=0.0, actual=residual, magnitude=residual)
                                for p, residual in zip(points, residuals) if not residual <= tolerance)
 
@@ -359,7 +355,7 @@ class _BoundaryRange(_GridCheck):
         if not abs(at_zero - tied) <= tolerance:
             self.violations.append(Violation(0.0, expected=tied, actual=at_zero, magnitude=abs(at_zero - tied)))
 
-    def read(self, points, images, residuals):
+    def read(self, points, images):
         u, high, tolerance, violations = self.u, self.high, self.tolerance, self.violations
         # N(p) must lie in [0, u] for p >= u and in [u, high] for p <= u, each widened by the tolerance.
         low_above, high_above, low_below, high_below = 0.0 - tolerance, u + tolerance, u - tolerance, high + tolerance
@@ -402,7 +398,7 @@ class _Linearity(_GridCheck):
         self.line = Linear(alpha) if self.sweeps else None
         self.max_residual = 0.0 if self.sweeps else math.inf
 
-    def read(self, points, images, residuals):
+    def read(self, points, images):
         worst = max(map(abs, map(operator.sub, images, self.line.images(points, self.n))))
         # max skips a NaN that is not its first argument; a NaN image makes the sum NaN.
         self.max_residual = max(self.max_residual, math.inf if math.isnan(sum(images)) else worst)

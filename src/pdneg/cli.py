@@ -37,12 +37,14 @@ chunk, and CSV is one string per record.  So a report holds the input and
 one chunk of records, never the whole report.  The input is held as one
 array('d') of every value, the labels and an array of where each
 distribution ends, and each record rebuilds its Distribution from these
-without checking it again.  On a 6.9 MB document of 50 000 distributions of
-5 components, every report peaks at 33.4-34.1 MB of RSS (58.6 MB when the
-input was held as Distribution objects).  The first chunk is built before
-anything is written; after it, only a kernel's InternalConsistencyError (a
-negation off the simplex) can stop a report partway, leaving what was
-written so far on stdout.
+without checking it again.  A JSON entry written {"label": ..., "values":
+[...]} is stored as soon as it is decoded and left in the document as a
+token of its label and index; any other entry is stored when read.  On a
+6.9 MB document of 50 000 distributions of 5 components, every report peaks
+at 33.4-34.1 MB of RSS (58.6 MB when the input was held as Distribution
+objects).  The first chunk is built before anything is written; after it,
+only a kernel's InternalConsistencyError (a negation off the simplex) can
+stop a report partway, leaving what was written so far on stdout.
 
 Exit status: 0 success, 1 a check failed (report still emitted), 2 usage,
 parse or validation failure (errors derived from ValueError, a component
@@ -86,20 +88,17 @@ _RECORDS_JSON = json.dumps(_RECORDS)
 # ---------------------------------------------------------------------------
 
 class _Entry:
-    """What the JSON reader's object hook leaves in the document for an object
-    holding a non-empty string "label" and a list of numbers as "values".
-
-    The values have been checked: if they are a distribution they are the
-    `index`-th stored in the input, else `error` says why not.  `source` is
-    the object itself when it cannot be rebuilt as {"label": ..., "values":
-    [...]} from the store: it failed the check, or holds other keys or
-    another key order.
+    """What the JSON reader's object hook leaves in the document for an entry
+    written as {"label": <non-empty string>, "values": [<numbers>]}, with
+    exactly those keys in that order, whose values are a distribution: the
+    label, and the index of the values in the input's store.  Every other
+    object stays as decoded.
     """
 
-    __slots__ = ("label", "index", "source", "error")
+    __slots__ = ("label", "index")
 
-    def __init__(self, label: str, index: int, source: dict | None) -> None:
-        self.label, self.index, self.source, self.error = label, index, source, None
+    def __init__(self, label: str, index: int) -> None:
+        self.label, self.index = label, index
 
 
 class _Input:
@@ -153,10 +152,11 @@ def _read_input(args) -> _Input:
     splits the row) and must encode to stdout's encoding (a stdout without
     one, such as io.StringIO, takes any text).  JSON escapes labels to ASCII.
 
-    JSON is decoded by one json.loads whose object hook checks and stores an
-    entry's values as soon as the entry is decoded (see _Entry), so the
-    decoded document holds no list or float of an entry.  Then the entries
-    are read in order; entry-shaped objects elsewhere are dropped.
+    JSON is decoded by one json.loads whose object hook stores each entry
+    written as the module docstring says and leaves its token (see _Entry).
+    The entries are then read in order, storing any other well-formed one;
+    if that or a token elsewhere in the document put the store out of
+    document order, it is rebuilt in order.
     """
     if args.input in (None, "-"):
         text = sys.stdin.read()
@@ -186,22 +186,20 @@ def _read_input(args) -> _Input:
     # null, a string or a container.
     def entry(obj: dict):
         label, floats = obj.get("label"), obj.get("values")
-        if not (type(label) is str and label and type(floats) is list):
+        if not (type(label) is str and label and type(floats) is list and len(obj) == 2
+                and next(iter(obj)) == "label"):
             return obj
         for value in floats:
             if type(value) is not float:
                 return obj
-        decoded = _Entry(label, len(read.ends), None if len(obj) == 2 and next(iter(obj)) == "label" else obj)
         try:
             read.store(floats)
-        except ValueError as exc:
-            decoded.source, decoded.error = obj, exc
-        return decoded
+        except ValueError:  # the walk checks the values again if the object is an entry
+            return obj
+        return _Entry(label, len(read.ends) - 1)
 
     def written(decoded: _Entry) -> dict:
         """json.dumps' default: the object an _Entry stands for, as written."""
-        if decoded.source is not None:
-            return decoded.source
         return {"label": decoded.label, "values": read.stored(decoded.index).tolist()}
 
     try:
@@ -209,12 +207,11 @@ def _read_input(args) -> _Input:
     except RecursionError:
         raise ValueError("input document nests too deeply") from None
     del text  # the document holds the input now
-    if type(document) is _Entry:  # the document itself is shaped like an entry
-        document = document.source or {}
-    entries = document.get("distributions")
+    entries = document.get("distributions") if type(document) is dict else None
     if not isinstance(entries, list) or not entries:
         raise ValueError("input document needs a non-empty 'distributions' list")
     seen: set[str] = set()
+    in_order = True
     for number, decoded in enumerate(entries, start=1):
         if type(decoded) is _Entry:
             label = decoded.label
@@ -238,20 +235,26 @@ def _read_input(args) -> _Input:
             except UnicodeEncodeError:
                 raise ValueError(f"distribution entry #{number}: label {label!r} cannot be written "
                                  f"in stdout's encoding {csv_encoding}") from None
-        if type(decoded) is not _Entry:  # a dict with a well-formed label, so its values are not
+        if type(decoded) is not _Entry:  # a dict with a well-formed label: its values are checked here
             values = decoded.get("values")
             if not isinstance(values, list):
                 raise ValueError(f"distribution {label!r} needs a 'values' list")
-            position, value = next((i, v) for i, v in enumerate(values, start=1) if type(v) is not float)
-            raise ValueError(f"distribution {label!r}: value #{position} is {json.dumps(value, default=written)}, "
-                             "expected a number")
+            for position, value in enumerate(values, start=1):
+                if type(value) is not float:
+                    raise ValueError(f"distribution {label!r}: value #{position} is "
+                                     f"{json.dumps(value, default=written)}, expected a number")
         if label in seen:
             raise ValueError(f"distribution label {label!r} repeats; labels must be unique")
         seen.add(label)
-        if decoded.error is not None:
-            raise type(decoded.error)(f"distribution {label!r}: {decoded.error}") from decoded.error
+        if type(decoded) is not _Entry:
+            try:
+                read.store(values)
+            except ValueError as exc:
+                raise type(exc)(f"distribution {label!r}: {exc}") from exc
+            entries[number - 1] = decoded = _Entry(label, len(read.ends) - 1)  # for keep, below
+        in_order &= decoded.index == number - 1
         read.labels.append(label)
-    if len(read.ends) > len(read.labels):  # entry-shaped objects elsewhere were stored too
+    if not in_order or len(read.ends) > len(read.labels):  # walk-stored entries, or tokens elsewhere
         read.keep([decoded.index for decoded in entries])
     return read
 

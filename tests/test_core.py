@@ -38,6 +38,10 @@ class TestValidateDistribution:
         assert dist.n == 5
         assert dist.values == EXAMPLE_PD
 
+    def test_iterating_a_distribution_yields_its_values(self):
+        dist = validate_distribution(EXAMPLE_PD)
+        assert tuple(dist) == dist.values
+
     def test_single_component_rejected(self):
         with pytest.raises(LengthError):
             validate_distribution((1.0,))

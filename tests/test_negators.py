@@ -134,6 +134,13 @@ class TestEvaluate:
         with pytest.raises(ContextMismatch):
             evaluate(Tsallis(2.0), 0.5 + offset + 1e-11, context=Distribution((0.5, 0.5)))
 
+    # A context evaluate did not build may stray past [0, 1] within the validation tolerance;
+    # the normalised kernels clamp it, so -1e-10 counts as 0 (sqrt would raise, 1 - p would grow).
+    @pytest.mark.parametrize("descriptor", [ROOT_SUM, Generator(lambda p: 1.0 - p)])
+    def test_a_context_component_below_zero_counts_as_zero(self, descriptor):
+        strayed = evaluate(descriptor, 0.5, context=Distribution((0.5, 0.5 + 1e-10, -1e-10)))
+        assert strayed == evaluate(descriptor, 0.5, context=Distribution((0.5, 0.5 + 1e-10, 0.0)))
+
     def test_length_required_for_length_dependent_descriptors(self):
         with pytest.raises(ArgumentError):
             evaluate(UNIFORM, 0.5)
