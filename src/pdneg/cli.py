@@ -33,15 +33,19 @@ the component-evaluation cap) and sweep-alpha (--n).  Then it yields its
 report records, and one writer builds and renders them CHUNK_RECORDS at a
 time: JSON is the bytes of one json.dumps of the report, made of one
 json.dumps of the report around a placeholder for its records plus one per
-chunk, and CSV is one string per record.  So a report holds the input and
-one chunk of records, never the whole report.  The input is held as one
-array('d') of every value, the labels and an array of where each
-distribution ends, and each record rebuilds its Distribution from these
-without checking it again.  A JSON entry written {"label": ..., "values":
-[...]} is stored as soon as it is decoded and left in the document as a
-token of its label and index; any other entry is stored when read.  On a
+chunk, and CSV is one string per record.  An iterate JSON record is a whole
+trace, so iterate's JSON chunks hold CHUNK_RECORDS // (--steps + 1) records
+(at least one), about as many distributions as a CSV chunk.  So a report
+holds the input and one chunk of records, never the whole report.  The
+input is held as one array('d') of every value and an array of where each
+stored distribution starts and ends, with the labels and, in `order`, each
+one's index in that store, both in document order; each record rebuilds its
+Distribution from these without checking it again.  A JSON entry written
+{"label": ..., "values": [...]} is stored as soon as it is decoded and left
+in the document as a token of its label and index; any other entry is
+stored when read, so the store need not be in document order.  On a
 6.9 MB document of 50 000 distributions of 5 components, every report peaks
-at 33.4-34.1 MB of RSS (58.6 MB when the input was held as Distribution
+at 31.0-33.4 MB of RSS (58.6 MB when the input was held as Distribution
 objects).  The first chunk is built before anything is written; after it,
 only a kernel's InternalConsistencyError (a negation off the simplex) can
 stop a report partway, leaving what was written so far on stdout.
@@ -60,7 +64,6 @@ import math
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice
-from operator import sub
 from types import SimpleNamespace
 
 from .analysis import (CHECK_TOLERANCE, DEFAULT_GRID_SIZE, MAX_COMPONENT_EVALUATIONS, audit, iterate_negation,
@@ -103,44 +106,37 @@ class _Entry:
 
 class _Input:
     """The validated input distributions: their values end to end in one
-    array('d'), the end of each in `ends`, and their labels."""
+    array('d'), where each starts and ends in `ends` (which starts at 0), and
+    in document order their labels and, in `order`, their indices in the store."""
 
-    __slots__ = ("labels", "values", "ends")
+    __slots__ = ("labels", "order", "values", "ends")
 
     def __init__(self) -> None:
         from array import array  # here, not at module level: starting the CLI need not load it
 
         self.labels: list[str] = []
-        self.values, self.ends = array("d"), array("q")
+        self.order, self.values, self.ends = array("q"), array("d"), array("q", (0,))
 
-    def store(self, floats: list[float]) -> None:
-        """Check the floats as a distribution, then append them to the values."""
+    def store(self, floats: list[float]) -> int:
+        """Check the floats as a distribution, append them to the values and return their index."""
         _check_simplex(floats, DEFAULT_TOLERANCE)
         self.values.fromlist(floats)
         self.ends.append(len(self.values))
+        return len(self.ends) - 2
 
     def stored(self, index: int):
         """The values of the index-th distribution stored, as an array."""
-        return self.values[self.ends[index - 1] if index else 0:self.ends[index]]
-
-    def keep(self, indices: list[int]) -> None:
-        """Keep only the stored distributions at these indices, in this order."""
-        kept = [self.stored(index) for index in indices]
-        self.values, self.ends = self.values[:0], self.ends[:0]
-        for values in kept:
-            self.values.extend(values)
-            self.ends.append(len(self.values))
+        return self.values[self.ends[index]:self.ends[index + 1]]
 
     def lengths(self) -> Iterator[int]:
-        """The length of each distribution, in order."""
-        return map(sub, self.ends, chain((0,), self.ends))
+        """The length of each distribution, in document order."""
+        ends = self.ends
+        return (ends[index + 1] - ends[index] for index in self.order)
 
     def __iter__(self) -> Iterator[tuple[str, Distribution]]:
         """Each label with its distribution, rebuilt from the store without a second check."""
-        values, start = self.values, 0
-        for label, end in zip(self.labels, self.ends):
-            yield label, _checked_distribution(tuple(values[start:end].tolist()))
-            start = end
+        for label, index in zip(self.labels, self.order):
+            yield label, _checked_distribution(tuple(self.stored(index).tolist()))
 
 
 def _read_input(args) -> _Input:
@@ -154,9 +150,9 @@ def _read_input(args) -> _Input:
 
     JSON is decoded by one json.loads whose object hook stores each entry
     written as the module docstring says and leaves its token (see _Entry).
-    The entries are then read in order, storing any other well-formed one;
-    if that or a token elsewhere in the document put the store out of
-    document order, it is rebuilt in order.
+    The entries are then read in order, storing any other well-formed one,
+    and each one's store index is appended to `order`: the store itself need
+    not be in document order, as every reader goes through `order`.
     """
     if args.input in (None, "-"):
         text = sys.stdin.read()
@@ -173,7 +169,7 @@ def _read_input(args) -> _Input:
             if line.strip():
                 label = f"pd{len(read.labels) + 1}"
                 try:
-                    read.store([float(token) for token in line.replace(",", " ").split()])
+                    read.order.append(read.store([float(token) for token in line.replace(",", " ").split()]))
                 except ValueError as exc:  # a token that is no number, or a validation error
                     raise type(exc)(f"distribution {label!r}: {exc}") from exc
                 read.labels.append(label)
@@ -193,10 +189,9 @@ def _read_input(args) -> _Input:
             if type(value) is not float:
                 return obj
         try:
-            read.store(floats)
+            return _Entry(label, read.store(floats))
         except ValueError:  # the walk checks the values again if the object is an entry
             return obj
-        return _Entry(label, len(read.ends) - 1)
 
     def written(decoded: _Entry) -> dict:
         """json.dumps' default: the object an _Entry stands for, as written."""
@@ -211,10 +206,9 @@ def _read_input(args) -> _Input:
     if not isinstance(entries, list) or not entries:
         raise ValueError("input document needs a non-empty 'distributions' list")
     seen: set[str] = set()
-    in_order = True
     for number, decoded in enumerate(entries, start=1):
         if type(decoded) is _Entry:
-            label = decoded.label
+            label, index = decoded.label, decoded.index
         elif not isinstance(decoded, dict):
             raise ValueError(f"distribution entry #{number} is {json.dumps(decoded, default=written)}, "
                              "expected an object")
@@ -248,14 +242,11 @@ def _read_input(args) -> _Input:
         seen.add(label)
         if type(decoded) is not _Entry:
             try:
-                read.store(values)
+                index = read.store(values)
             except ValueError as exc:
                 raise type(exc)(f"distribution {label!r}: {exc}") from exc
-            entries[number - 1] = decoded = _Entry(label, len(read.ends) - 1)  # for keep, below
-        in_order &= decoded.index == number - 1
+        read.order.append(index)
         read.labels.append(label)
-    if not in_order or len(read.ends) > len(read.labels):  # walk-stored entries, or tokens elsewhere
-        read.keep([decoded.index for decoded in entries])
     return read
 
 
@@ -297,13 +288,13 @@ def _csv_text(header: list[str], records: Iterable[dict], pretty: bool) -> Itera
         yield head + (tail + head).join(map(row.__mod__, zip(range(1, len(lists[0]) + 1), *lists))) + tail
 
 
-def _chunks(records: Iterable[dict]) -> Iterator[list[dict]]:
-    """The records, built CHUNK_RECORDS at a time."""
+def _chunks(records: Iterable[dict], size: int) -> Iterator[list[dict]]:
+    """The records, built `size` at a time."""
     records = iter(records)
-    return iter(lambda: list(islice(records, CHUNK_RECORDS)), [])
+    return iter(lambda: list(islice(records, size)), [])
 
 
-def _json_text(payload: dict, pretty: bool) -> Iterator[str]:
+def _json_text(payload: dict, pretty: bool, size: int) -> Iterator[str]:
     """The text print(json.dumps(payload)) writes, in pieces: the text before
     the records, the records chunk by chunk, and the text after them.
 
@@ -311,7 +302,7 @@ def _json_text(payload: dict, pretty: bool) -> Iterator[str]:
     (never empty) list it yields; the text around them is one json.dumps,
     split at _RECORDS.  --pretty rounds every number as _rounded does and
     indents by 2, so each chunk's items move one level in, to the depth of
-    a top-level field's items.
+    a top-level field's items.  The records are built `size` at a time.
     """
     key, records = next(field for field in payload.items() if isinstance(field[1], Iterator))
     around = {**payload, key: [_RECORDS]}
@@ -321,7 +312,7 @@ def _json_text(payload: dict, pretty: bool) -> Iterator[str]:
     head, _, tail = json.dumps(around, indent=indent).partition(_RECORDS_JSON)
     yield head
     separator = ""
-    for chunk in _chunks(records):
+    for chunk in _chunks(records, size):
         items = json.dumps(chunk, indent=indent)[1:-1]
         if pretty:
             items = items.strip().replace("\n", "\n  ")
@@ -330,17 +321,18 @@ def _json_text(payload: dict, pretty: bool) -> Iterator[str]:
     yield tail + "\n"
 
 
-def _emit(args, payload: dict, header: list[str], rows: Iterable[dict]) -> None:
-    """Write the payload as JSON (see _json_text), or the rows as CSV under
-    the header; only the chosen format's records are read.
+def _emit(args, payload: dict, header: list[str], rows: Iterable[dict], size: int = CHUNK_RECORDS) -> None:
+    """Write the payload as JSON (see _json_text) with its records built
+    `size` at a time, or the rows as CSV under the header, built CHUNK_RECORDS
+    at a time; only the chosen format's records are read.
 
     The first chunk of records is built before anything is written, so a
     failure there leaves stdout empty.
     """
     if args.format == "csv":
-        pieces = _csv_text(header, chain.from_iterable(_chunks(rows)), args.pretty)
+        pieces = _csv_text(header, chain.from_iterable(_chunks(rows, CHUNK_RECORDS)), args.pretty)
     else:
-        pieces = _json_text(payload, args.pretty)
+        pieces = _json_text(payload, args.pretty, size)
     sys.stdout.write(next(pieces) + next(pieces, ""))
     sys.stdout.writelines(pieces)
 
@@ -450,7 +442,8 @@ def cmd_iterate(args) -> int:
     header = ["label", "step", "index", "value", "distance_to_uniform", "entropy"]
     rows = ({"label": result["label"], "value": step["values"], **step}
             for result in results for step in result["trace"])
-    _emit(args, {"command": "iterate", "results": results}, header, rows)
+    # A JSON record holds a whole trace, so a chunk of them holds about CHUNK_RECORDS distributions.
+    _emit(args, {"command": "iterate", "results": results}, header, rows, max(1, CHUNK_RECORDS // (args.steps + 1)))
     return EXIT_OK
 
 

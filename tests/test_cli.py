@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import importlib
 import io
 import json
@@ -455,9 +456,15 @@ class TestReportMemory:
 
     @staticmethod
     def peak(argv, path, warm_up):
-        """Traced peak of a run on `path`, after a run on `warm_up` has done any one-off setup."""
+        """Traced peak of a run on `path`, after a run on `warm_up` has done any one-off setup.
+
+        A full collection first empties the interpreter's free lists, whose
+        reused objects tracemalloc would not count, so the peak does not
+        depend on what ran before.
+        """
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             assert main([*argv, "--input", warm_up]) == 0
+            gc.collect()
             tracemalloc.start()
             try:
                 assert main([*argv, "--input", path]) == 0
@@ -505,23 +512,6 @@ class TestTextReportMemory(TestReportMemory):
         (directory / "input.txt").write_text("".join(lines))
         (directory / "warm-up.txt").write_text(lines[0])
         return str(directory / "input.txt"), str(directory / "warm-up.txt")
-
-    # A report adds one chunk of records to its input, and an iterate JSON chunk holds
-    # CHUNK_RECORDS whole traces (of 4 distributions each here).  At this size that chunk
-    # outweighs the text reader's own peak: the report peaks at 1.6 times it when this
-    # class runs alone, and under 1.5 times only after earlier tests have left objects
-    # on the interpreter's free lists, which tracemalloc does not count.
-    @pytest.mark.parametrize("argv,fmt", [
-        (["negate", "yager"], "json"),
-        pytest.param(["iterate", "yager", "--steps", "3"], "json",
-                     marks=pytest.mark.xfail(reason="an iterate JSON chunk holds 64 whole traces", strict=False)),
-        (["sweep-alpha", "--alphas", "11"], "json"),
-        (["negate", "yager"], "csv"),
-        (["iterate", "yager", "--steps", "3"], "csv"),
-        (["sweep-alpha", "--alphas", "11"], "csv"),
-    ])
-    def test_a_report_peaks_near_the_entropy_report(self, paths, reading, argv, fmt):
-        super().test_a_report_peaks_near_the_entropy_report(paths, reading, argv, fmt)
 
 
 class TestSizeCaps:
@@ -648,7 +638,7 @@ class TestInputDocument:
             assert all(row.endswith(",2,0") for row in out.splitlines()[1:])
 
     # The hook stores the canonical entries (and the object under "meta") as it decodes
-    # them; the reader stores b and d as it reads them, so the store must be put in order.
+    # them; the reader stores b and d as it reads them, so the store is out of document order.
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_entries_stored_out_of_order_are_reported_in_document_order(self, capsys, tmp_path, fmt):
         inputs = {"a": [0.5, 0.5], "b": [0.25, 0.75], "c": [0.125, 0.875], "d": [1.0, 0.0], "e": [0.375, 0.625]}
@@ -672,6 +662,19 @@ class TestInputDocument:
                     reported.append((row["label"], []))
                 reported[-1][1].append(float(row["input"]))
         assert reported == list(inputs.items())
+
+    # The store holds a, c, b (c is stored as decoded, b when read), so the lengths
+    # in store order are 2, 5, 4; a command's refusal must meet them as written.
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep-alpha", "--n", "2"], "pdneg: distribution 'b' has length 4, expected --n 2\n"),
+        (["negate", "linear:n1=0.3"], "pdneg: N(1) = 0.3 outside the admissible interval [0, 1/4] = [0.0, 0.25]\n"),
+    ], ids=["sweep-alpha-length", "negate-boundary-form"])
+    def test_lengths_follow_document_order_when_the_store_does_not(self, capsys, tmp_path, argv, message):
+        entries = [{"label": "a", "values": [0.5, 0.5]}, {"values": [0.25] * 4, "label": "b"},
+                   {"label": "c", "values": [0.2] * 5}]
+        path = write_input(tmp_path, json.dumps({"distributions": entries}), "input.json")
+        code, out, err = run(capsys, *argv, "--input", path)
+        assert (code, out, err) == (2, "", message)
 
     # str.splitlines ends a line at each of these; iterating a file's lines does not.
     @pytest.mark.parametrize("separator", ["\x0c", "\x1c", "\x85", "\u2028", "\r", "\r\n"])
