@@ -530,8 +530,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """The arguments of argv (default sys.argv[1:]); exits as argparse does on -h or a usage error."""
+    return _build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.handler(args)
     except (ValueError, ComponentIndexError, OSError) as exc:

@@ -13,11 +13,14 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EXAMPLE_PD
-from pdneg import entropy, errors
+from pdneg import cli, entropy, errors
 from pdneg.cli import CHUNK_RECORDS, main
 
 EXAMPLE_LINE = " ".join(str(v) for v in EXAMPLE_PD)
@@ -784,6 +787,52 @@ class TestExitCodes:
         assert code == (2 if usage else 3)
         assert out == ""
         assert err == "pdneg: injected\n"
+
+
+def parsed(parse, argv):
+    """vars() of parse(argv)'s Namespace, or the SystemExit code with what
+    was written to stdout and stderr, with the help text 80 columns wide."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            return vars(parse(list(argv)))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+def parsed_by_the_full_parser(argv):
+    return parsed(lambda argv: cli._build_parser().parse_args(argv), argv)
+
+
+COMMAND_NAMES = ["negate", "check", "iterate", "sweep-alpha", "entropy"]
+ARGUMENTS = st.sampled_from([
+    *COMMAND_NAMES, "bogus", "yager", "linear:n1=0.1", "-", "--", "-h", "--help", "--he", "--bogus", "--x=y",
+    "--format", "--form", "--format=csv", "--form=xml", "json", "csv", "xml", "--pretty", "--pre",
+    "--input", "--inp=x.json", "x.json", "--n", "--n=5", "5", "-3", "abc", "--grid", "--grid=11", "11",
+    "--tol", "nan", "1e-9", "--seed", "--steps", "--st=2", "--alphas", "--al", "3",
+])
+
+
+class TestParsing:
+    """main parses argv exactly as the full parser's parse_args does: the same
+    Namespace, or the same exit code, help, usage and error text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(ARGUMENTS, max_size=7),
+                     st.builds(lambda name, rest: [name, *rest], st.sampled_from(COMMAND_NAMES),
+                               st.lists(ARGUMENTS, max_size=6))))
+    def test_main_parses_drawn_argv_as_the_full_parser_does(self, argv):
+        assert parsed(cli._parse, argv) == parsed_by_the_full_parser(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["bogus"], *([name, "-h"] for name in COMMAND_NAMES),
+        ["check", "yager", "--n", "5", "--input", "x"], ["check", "yager", "--n", "abc"],
+        ["negate", "--", "yager"], ["-h", "negate"], ["entropy", "--input"], ["--", "negate", "yager"],
+        ["check", "yager", "--n", "5"], ["sweep-alpha", "--form", "csv", "--al", "3", "--n=4"],
+    ])
+    def test_main_parses_as_the_full_parser_does(self, argv):
+        assert parsed(cli._parse, argv) == parsed_by_the_full_parser(argv)
 
 
 class TestModuleEntryPoints:
