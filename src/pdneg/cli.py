@@ -50,6 +50,11 @@ objects).  The first chunk is built before anything is written; after it,
 only a kernel's InternalConsistencyError (a negation off the simplex) can
 stop a report partway, leaving what was written so far on stdout.
 
+main builds the parser of the command its first argument names, and that
+parser alone parses the rest, printing the command's help and errors as the
+full parser would.  With no command first, or an argument left over, the
+full parser parses them all, for pdneg's own help and usage errors.
+
 Exit status: 0 success, 1 a check failed (report still emitted), 2 usage,
 parse or validation failure (errors derived from ValueError, a component
 index out of range, OSError), 3 any other pdneg error (descriptor application).
@@ -481,57 +486,70 @@ def cmd_entropy(args) -> int:
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+def _check_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("negator")
+    parser.add_argument("--n", type=int, required=True, help="distribution length to check at")
+    parser.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE, help="grid resolution over [0, 1]")
+    parser.add_argument("--tol", type=float, default=CHECK_TOLERANCE, help="check tolerance (finite, >= 0)")
+    parser.add_argument("--seed", type=int, default=0, help="seed for the randomized probe contexts")
+
+
+def _iterate_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("negator")
+    parser.add_argument("--steps", type=int, default=10)
+
+
+def _sweep_alpha_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--alphas", type=int, default=11, help="number of alpha grid points (>= 2)")
+    parser.add_argument("--n", type=int, default=None, help="require every input distribution to have this length")
+
+
+#: Each command's help, its handler, whether it takes --input, and the function
+#: that adds the arguments of its own to a parser.
+_COMMANDS = {
+    "negate": ("apply a negator to each input distribution", cmd_negate, True,
+               lambda parser: parser.add_argument("negator", help="descriptor, e.g. yager or linear:n1=0.1")),
+    "check": ("run the applicable property checks for a descriptor", cmd_check, False, _check_arguments),
+    "iterate": ("emit the trace of repeated negation", cmd_iterate, True, _iterate_arguments),
+    "sweep-alpha": ("apply every linear negator on an alpha grid", cmd_sweep_alpha, True, _sweep_alpha_arguments),
+    "entropy": ("report the entropy of each input distribution", cmd_entropy, True, lambda parser: None),
+}
+
+
+def _command_parser(name: str, parser: argparse.ArgumentParser | None = None) -> argparse.ArgumentParser:
+    """`parser` given the arguments and defaults of the command `name`; by
+    default a new parser of that command alone."""
+    if parser is None:
+        parser = argparse.ArgumentParser(prog=f"pdneg {name}")
+    _, handler, takes_input, add_arguments = _COMMANDS[name]
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--pretty", action="store_true", help="round numbers to 6 significant digits")
+    if takes_input:
+        parser.add_argument("--input", default=None, metavar="PATH", help="input document (default: stdin)")
+    add_arguments(parser)
+    parser.set_defaults(handler=handler, command=name)
+    return parser
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, which prints pdneg's help and usage errors."""
     parser = argparse.ArgumentParser(
         prog="pdneg",
         description="Construct, apply and analyse negations of finite probability distributions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    output_options = argparse.ArgumentParser(add_help=False)
-    output_options.add_argument("--format", choices=("json", "csv"), default="json")
-    output_options.add_argument("--pretty", action="store_true",
-                                help="round numbers to 6 significant digits")
-    io_options = argparse.ArgumentParser(add_help=False, parents=[output_options])
-    io_options.add_argument("--input", default=None, metavar="PATH",
-                            help="input document (default: stdin)")
-
-    negate = sub.add_parser("negate", parents=[io_options],
-                            help="apply a negator to each input distribution")
-    negate.add_argument("negator", help="descriptor, e.g. yager or linear:n1=0.1")
-    negate.set_defaults(handler=cmd_negate)
-
-    check = sub.add_parser("check", parents=[output_options],
-                           help="run the applicable property checks for a descriptor")
-    check.add_argument("negator")
-    check.add_argument("--n", type=int, required=True, help="distribution length to check at")
-    check.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE, help="grid resolution over [0, 1]")
-    check.add_argument("--tol", type=float, default=CHECK_TOLERANCE, help="check tolerance (finite, >= 0)")
-    check.add_argument("--seed", type=int, default=0, help="seed for the randomized probe contexts")
-    check.set_defaults(handler=cmd_check)
-
-    iterate = sub.add_parser("iterate", parents=[io_options],
-                             help="emit the trace of repeated negation")
-    iterate.add_argument("negator")
-    iterate.add_argument("--steps", type=int, default=10)
-    iterate.set_defaults(handler=cmd_iterate)
-
-    sweep = sub.add_parser("sweep-alpha", parents=[io_options],
-                           help="apply every linear negator on an alpha grid")
-    sweep.add_argument("--alphas", type=int, default=11, help="number of alpha grid points (>= 2)")
-    sweep.add_argument("--n", type=int, default=None,
-                       help="require every input distribution to have this length")
-    sweep.set_defaults(handler=cmd_sweep_alpha)
-
-    entropy_cmd = sub.add_parser("entropy", parents=[io_options],
-                                 help="report the entropy of each input distribution")
-    entropy_cmd.set_defaults(handler=cmd_entropy)
-
+    for name, (summary, *_) in _COMMANDS.items():
+        _command_parser(name, sub.add_parser(name, help=summary))
     return parser
 
 
 def _parse(argv: list[str] | None) -> argparse.Namespace:
-    """The arguments of argv (default sys.argv[1:]); exits as argparse does on -h or a usage error."""
+    """argv (default sys.argv[1:]) parsed as the module docstring says; exits on -h or a usage error."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _COMMANDS:
+        args, left = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not left:
+            return args
     return _build_parser().parse_args(argv)
 
 

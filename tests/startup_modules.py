@@ -1,6 +1,7 @@
-"""Check what starting the CLI loads: import pdneg.cli and build its parser,
-print each module that adds to this interpreter, one a line, and exit 1 if
-any of them is one the CLI has no need of.
+"""Check what starting the CLI loads: import pdneg.cli, build its full parser
+and each command's own parser (the one main parses that command with), print
+each module that adds to this interpreter, one a line, and exit 1 if any of
+them is one the CLI has no need of.
 
     python -I tests/startup_modules.py [SRC]
 
@@ -21,6 +22,8 @@ before = set(sys.modules)
 import pdneg.cli  # noqa: E402
 
 pdneg.cli._build_parser()
+for name in pdneg.cli._COMMANDS:
+    pdneg.cli._command_parser(name)
 added = sorted(set(sys.modules) - before)
 print("\n".join(added))
 loaded = [name for name in FORBIDDEN if name in added]

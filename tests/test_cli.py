@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import gc
@@ -833,6 +834,29 @@ class TestParsing:
     ])
     def test_main_parses_as_the_full_parser_does(self, argv):
         assert parsed(cli._parse, argv) == parsed_by_the_full_parser(argv)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The prog of each argparse.ArgumentParser constructed while the test runs."""
+        progs = []
+        construct = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            construct(parser, *args, **kwargs)
+            progs.append(parser.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        return progs
+
+    def test_a_command_builds_its_own_parser_alone(self, capsys, tmp_path, built):
+        assert main(["entropy", "--input", write_input(tmp_path, EXAMPLE_LINE)]) == 0
+        assert built == ["pdneg entropy"]
+
+    @pytest.mark.parametrize("argv", [["-h"], ["bogus"]])
+    def test_help_and_an_unknown_command_build_the_full_parser(self, capsys, built, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert built == ["pdneg", *(f"pdneg {name}" for name in COMMAND_NAMES)]
 
 
 class TestModuleEntryPoints:
