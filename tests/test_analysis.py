@@ -70,6 +70,16 @@ class TestCheckReport:
         assert list(report.to_dict()) == [
             "check_name", "passed", "violations", "grid_size", "tolerance", "seed", "notes"]
         assert report.to_dict()["passed"] is False
+        # Golden JSON reads a tuple as a list, so the types are pinned here.
+        pair = Violation((1, 2), expected=0.25, actual=0.5, magnitude=0.25)
+        assert CheckReport("demo", [pair], 0, 1e-12, seed=3, notes=["a note"]).to_dict() == {
+            "check_name": "demo", "passed": False,
+            "violations": [{"location": [1, 2], "expected": 0.25, "actual": 0.5, "magnitude": 0.25}],
+            "grid_size": 0, "tolerance": 1e-12, "seed": 3, "notes": ["a note"]}
+        assert CheckReport("demo", [], 2, 0.0).to_dict() == {
+            "check_name": "demo", "passed": True, "violations": [], "grid_size": 2, "tolerance": 0.0, "seed": None}
+        assert LinearityVerdict(True, 0.0, 0.0).to_dict() == {
+            "is_linear": True, "alpha_estimate": 0.0, "max_residual": 0.0}
 
     def test_each_claim_refusal_reads_its_one_statement(self):
         assert fixed_point_check(Tsallis(2.0), 5).notes == (
