@@ -56,7 +56,23 @@ MAX_COMPONENT_EVALUATIONS = 10**6
 GRID_BLOCK = 2048
 
 
-class Violation(_Frozen):
+class _Report(_Frozen):
+    """A check's result, rendered by ``to_dict`` as its FIELDS in order: a
+    nested report by its own ``to_dict``, a tuple as a list."""
+
+    def to_dict(self) -> dict:
+        return {name: _rendered(getattr(self, name)) for name in self.FIELDS}
+
+
+def _rendered(value):
+    if isinstance(value, _Report):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_rendered(item) for item in value]
+    return value
+
+
+class Violation(_Report):
     """One point at which a checked property fails.
 
     ``location`` is a grid probability, a 1-based component index, or a
@@ -72,17 +88,8 @@ class Violation(_Frozen):
             magnitude = math.inf
         self.__dict__.update(location=location, expected=expected, actual=actual, magnitude=magnitude)
 
-    def to_dict(self) -> dict:
-        location = list(self.location) if isinstance(self.location, tuple) else self.location
-        return {
-            "location": location,
-            "expected": self.expected,
-            "actual": self.actual,
-            "magnitude": self.magnitude,
-        }
 
-
-class CheckReport(_Frozen):
+class CheckReport(_Report):
     """Outcome of one property check; ``passed`` is true iff there are no violations.
 
     ``grid_size`` is 0 for checks that do not sweep a grid.
@@ -100,33 +107,21 @@ class CheckReport(_Frozen):
         return not self.violations
 
     def to_dict(self) -> dict:
-        report = {
-            "check_name": self.check_name,
-            "passed": self.passed,
-            "violations": [v.to_dict() for v in self.violations],
-            "grid_size": self.grid_size,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-        }
-        if self.notes:
-            report["notes"] = list(self.notes)
+        """The fields rendered, with ``passed`` second and ``notes`` only when there are any."""
+        name, *rest = super().to_dict().items()
+        report = dict([name, ("passed", self.passed), *rest])
+        if not self.notes:
+            del report["notes"]
         return report
 
 
-class LinearityVerdict(_Frozen):
+class LinearityVerdict(_Report):
     """Whether a descriptor behaves as a linear negator on a grid."""
 
     FIELDS = ("is_linear", "alpha_estimate", "max_residual")
 
     def __init__(self, is_linear: bool, alpha_estimate: float | None, max_residual: float) -> None:
         self.__dict__.update(is_linear=is_linear, alpha_estimate=alpha_estimate, max_residual=max_residual)
-
-    def to_dict(self) -> dict:
-        return {
-            "is_linear": self.is_linear,
-            "alpha_estimate": self.alpha_estimate,
-            "max_residual": self.max_residual,
-        }
 
 
 class IterationTrace(_Frozen):
