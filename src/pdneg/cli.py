@@ -45,10 +45,10 @@ Distribution from these without checking it again.  A JSON entry written
 in the document as a token of its label and index; any other entry is
 stored when read, so the store need not be in document order.  On a
 6.9 MB document of 50 000 distributions of 5 components, every report peaks
-at 31.0-33.4 MB of RSS (58.6 MB when the input was held as Distribution
-objects).  The first chunk is built before anything is written; after it,
-only a kernel's InternalConsistencyError (a negation off the simplex) can
-stop a report partway, leaving what was written so far on stdout.
+at 30.7-30.9 MB of fresh-process RSS.  The first chunk is built before
+anything is written; after it, only a kernel's InternalConsistencyError (a
+negation off the simplex) or a failed write to stdout (such as a closed
+pipe) can stop a report partway, leaving what was written so far on stdout.
 
 main builds the parser of the command its first argument names, and that
 parser alone parses the rest, printing the command's help and errors as the
@@ -57,7 +57,8 @@ full parser parses them all, for pdneg's own help and usage errors.
 
 Exit status: 0 success, 1 a check failed (report still emitted), 2 usage,
 parse or validation failure (errors derived from ValueError, a component
-index out of range, OSError), 3 any other pdneg error (descriptor application).
+index out of range, an input that cannot be opened or read), 3 any other
+pdneg error (descriptor application) or a failed write to stdout.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice
@@ -159,11 +161,14 @@ def _read_input(args) -> _Input:
     and each one's store index is appended to `order`: the store itself need
     not be in document order, as every reader goes through `order`.
     """
-    if args.input in (None, "-"):
-        text = sys.stdin.read()
-    else:
-        with open(args.input, encoding="utf-8") as document:
-            text = document.read()
+    try:
+        if args.input in (None, "-"):
+            text = sys.stdin.read()
+        else:
+            with open(args.input, encoding="utf-8") as document:
+                text = document.read()
+    except OSError as exc:  # an input that cannot be opened or read is a usage error
+        raise ValueError(str(exc)) from exc
     csv_encoding = (getattr(sys.stdout, "encoding", None) or "utf-8") if args.format == "csv" else None
     read = _Input()
 
@@ -556,17 +561,24 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     args = _parse(argv)
     try:
-        return args.handler(args)
-    except (ValueError, ComponentIndexError, OSError) as exc:
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except (ValueError, ComponentIndexError) as exc:
         print(f"pdneg: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NegationError as exc:
+    except (NegationError, OSError) as exc:  # an OSError here is a failed write to stdout
         print(f"pdneg: {exc}", file=sys.stderr)
         return EXIT_APPLICATION
 
 
 def console_main() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:  # main reported the failed write; what is left in the buffer goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@ Every error raised by the package derives from :class:`NegationError`, so
 callers can catch a single type.  Errors that correspond to malformed input
 additionally derive from ``ValueError`` (and the out-of-range index error
 from ``IndexError``) to stay idiomatic.  The command line exits 2 on an error
-derived from ``ValueError`` (or on ``ComponentIndexError``) and 3 on every
-other :class:`NegationError`.  The two claim refusals state their reason
+derived from ``ValueError`` (or on ``ComponentIndexError``) and on an input it
+cannot open or read, and 3 on every other :class:`NegationError` and on a
+failed write to stdout.  The two claim refusals state their reason
 once, as ``refusal``, for their messages, notes and the CLI's skipped checks.
 """
 

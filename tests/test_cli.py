@@ -886,6 +886,20 @@ class TestModuleEntryPoints:
         usage = subprocess.run([sys.executable, "-m", module], capture_output=True, text=True, env=env, timeout=60)
         assert usage.returncode == 2
 
+    def test_a_closed_stdout_pipe_exits_3_with_one_error_line(self, tmp_path):
+        path = write_input(tmp_path, f"{EXAMPLE_LINE}\n" * 5000)
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        child = subprocess.Popen([sys.executable, "-m", "pdneg", "negate", "yager", "--format", "csv", "--input", path],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        try:
+            assert child.stdout.readline().startswith("label,")
+            child.stdout.close()  # the report is far larger than the pipe holds, so a later write fails
+            err = child.stderr.read()
+        finally:
+            child.wait(timeout=60)
+        assert child.returncode == 3
+        assert err == "pdneg: [Errno 32] Broken pipe\n"  # so no Traceback and no "Exception ignored"
+
 
 class TestStartup:
     def test_starting_the_cli_loads_no_module_it_has_no_need_of(self):
