@@ -6,7 +6,9 @@ in JSON and CSV.  Whatever the input, the exit code is 0, 2 or 3 and no
 traceback is printed; a failure writes `pdneg: ...` to stderr and nothing to
 stdout, and a CSV report parses into rows as wide as its header.  Arbitrary
 descriptor text, and mixtures nested up to 600 deep, go to negate and to
-check, whose exit code may also be 1.
+check, whose exit code may also be 1.  Seeded byte-level mutations of the
+golden documents, deep nesting and invalid UTF-8 go to main in a child
+interpreter, at Python's default recursion limit.
 """
 
 from __future__ import annotations
@@ -14,13 +16,18 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import simplexes
-from test_cli_golden import run
+from conftest import EXAMPLE_PD, simplexes
+from test_cli_golden import DOCUMENT, FORMAT_LIKE_DOCUMENT, QUOTED_DOCUMENT, run
 
 COMMANDS = [
     ["negate", "yager"],
@@ -113,3 +120,68 @@ def test_any_descriptor_ends_in_a_report_or_one_error_line(descriptor, check):
 def test_nested_mixtures_end_in_a_report_or_one_error_line(check):
     for depth in range(601):
         assert_report_or_one_error_line("mix:[1*" * depth + "yager" + "]" * depth, check)
+
+
+# Runs main over each argv of the JSON list on stdin, printing per argv its
+# exit code (or the exception that escaped main), whether stdout stayed empty
+# and stderr.  A child has Python's default recursion limit, which hypothesis
+# raises while a test runs.
+CHILD = """
+import contextlib, io, json, sys
+from pdneg.cli import main
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except BaseException as exc:
+        code = f"{type(exc).__name__} escaped main: {exc}"[:200]
+    print(json.dumps([code, out.getvalue() == "", err.getvalue()]))
+"""
+EXAMPLE_LINE = " ".join(map(str, EXAMPLE_PD)) + "\n"
+
+
+def mutants(rng: random.Random, text: str, count: int):
+    """`count` copies of the text's UTF-8 bytes, each with one to three bit
+    flips, byte inserts, byte deletes or truncations."""
+    for _ in range(count):
+        data = bytearray(text.encode())
+        for _ in range(rng.randint(1, 3)):
+            at, edit = rng.randrange(len(data) + 1), rng.randrange(4)
+            if edit == 0 and at < len(data):
+                data[at] ^= 1 << rng.randrange(8)
+            elif edit == 1:
+                data.insert(at, rng.randrange(256))
+            elif edit == 2:
+                del data[at:at + 1]
+            else:
+                del data[at:]
+        yield bytes(data)
+
+
+def test_mutated_inputs_at_the_default_recursion_limit_end_in_a_report_or_one_error_line(tmp_path):
+    rng = random.Random(21)
+    inputs = [mutant for text in (DOCUMENT, QUOTED_DOCUMENT, FORMAT_LIKE_DOCUMENT, EXAMPLE_LINE)
+              for mutant in mutants(rng, text, 49)]
+    inputs += [b"[" * 50_000, b'{"distributions": ' + b"[" * 50_000, b"\xff\xfe0.5 0.5\n",
+               DOCUMENT.encode().replace(b"tie", b"t\xc3\x28e")]
+    cases = []
+    for number, data in enumerate(inputs):
+        path = tmp_path / f"{number}.in"
+        path.write_bytes(data)
+        command = rng.choice(COMMANDS) + ["--format", rng.choice(FORMATS)]
+        cases.append(command + ["--input", str(path)])
+    example = tmp_path / "example.in"
+    example.write_text(EXAMPLE_LINE)
+    cases.append(["negate", "mix:[1*" * 600 + "yager" + "]" * 600, "--input", str(example)])
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(cases), capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    results = [json.loads(line) for line in done.stdout.splitlines()]
+    assert len(results) == len(cases)
+    for argv, (code, out_empty, err) in zip(cases, results):
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in err, argv
+        if code == 2:
+            assert out_empty, argv
