@@ -577,7 +577,8 @@ def console_main() -> None:
     try:
         sys.stdout.flush()
     except OSError:  # main reported the failed write; what is left in the buffer goes nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "w") as sink:
+            os.dup2(sink.fileno(), sys.stdout.fileno())
     sys.exit(code)
 
 
