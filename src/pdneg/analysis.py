@@ -1,8 +1,9 @@
 """Executable diagnostics for transformation functions and negations.
 
-Universally quantified properties (order reversal, fixed points, the
-balance equation for pd-independent functions, boundary ranges, linearity)
-are checked on dense grids over [0, 1] and on randomized distributions.
+Fixed points, the balance equation for pd-independent functions, boundary
+ranges and linearity are checked on dense grids over [0, 1], and
+pd-independence on seeded random contexts; :func:`check_negation_pair`
+checks order reversal for a given pair of distributions.
 Every check returns a :class:`CheckReport` listing each violation with its
 location and magnitude; a report passes exactly when it has no violations.
 
@@ -18,10 +19,11 @@ check refuses a tolerance that is not a finite number >= 0, and every
 comparison against the tolerance fails closed: a NaN or infinite image is a
 violation of magnitude math.inf.
 
-The balance and linearity residuals are taken in builtins (map, max, sum),
-and the seeded samplers draw their unit exponentials as -log(1.0 - random())
-through itertools.islice, which is what random.Random.expovariate(1.0)
-computes; each result is bit-identical to a loop over the values.
+The balance and linearity residuals are taken in builtins (map, max, sum).
+Both seeded samplers draw each point through one helper, _simplex_point:
+unit exponentials -log(1.0 - random()) read through itertools.islice, as
+random.Random.expovariate(1.0) computes them, scaled to the mass they fill
+by their math.fsum; each result is bit-identical to a loop over the values.
 """
 
 from __future__ import annotations
@@ -555,12 +557,7 @@ def sample_distributions(n: int, count: int, seed: int) -> tuple[Distribution, .
     """
     require_length(n)
     rng = random.Random(seed)
-    samples = []
-    for _ in range(count):
-        draws = _unit_exponentials(rng, n)
-        total = math.fsum(draws)
-        samples.append(Distribution([d / total for d in draws]))
-    return tuple(samples)
+    return tuple(Distribution(_simplex_point(rng, n, 1.0)) for _ in range(count))
 
 
 def contexts_containing(p: float, n: int, count: int, seed: int) -> tuple[Distribution, ...]:
@@ -573,16 +570,11 @@ def contexts_containing(p: float, n: int, count: int, seed: int) -> tuple[Distri
     if not 0.0 <= p < 1.0:
         raise ArgumentError(f"need 0 <= p < 1 to fill the remaining mass, got {p!r}")
     rng = random.Random(seed)
-    contexts = []
-    rest = 1.0 - p
-    for _ in range(count):
-        draws = _unit_exponentials(rng, n - 1)
-        total = math.fsum(draws)
-        contexts.append(Distribution([p] + [rest * d / total for d in draws]))
-    return tuple(contexts)
+    return tuple(Distribution([p] + _simplex_point(rng, n - 1, 1.0 - p)) for _ in range(count))
 
 
-def _unit_exponentials(rng: random.Random, count: int) -> list[float]:
-    """``count`` unit-exponential draws from ``rng``, bit-identical to as many
-    ``rng.expovariate(1.0)`` calls, which return -log(1.0 - rng.random()) / 1.0."""
-    return [-math.log(1.0 - r) for r in itertools.islice(iter(rng.random, None), count)]
+def _simplex_point(rng: random.Random, size: int, mass: float) -> list[float]:
+    """``size`` draws bit-identical to ``rng.expovariate(1.0)``, each scaled to ``mass * d / total``."""
+    draws = [-math.log(1.0 - r) for r in itertools.islice(iter(rng.random, None), size)]
+    total = math.fsum(draws)
+    return [mass * d / total for d in draws]

@@ -58,7 +58,8 @@ full parser parses them all, for pdneg's own help and usage errors.
 Exit status: 0 success, 1 a check failed (report still emitted), 2 usage,
 parse or validation failure (errors derived from ValueError, a component
 index out of range, an input that cannot be opened or read), 3 any other
-pdneg error (descriptor application) or a failed write to stdout.
+pdneg error (descriptor application) or a failed write to stdout.  An error
+is one stderr line, whose message is cut in the middle past _MESSAGE_CAP.
 """
 
 from __future__ import annotations
@@ -91,6 +92,9 @@ CHUNK_RECORDS = 64
 #: field renders to its JSON, "\u0000records", as labels live only in records.
 _RECORDS = "\0records"
 _RECORDS_JSON = json.dumps(_RECORDS)
+#: Longest error message printed whole; a longer one prints its first 300
+#: characters, which name the entry, and its last 95, which give the reason.
+_MESSAGE_CAP = 400
 
 
 # ---------------------------------------------------------------------------
@@ -565,11 +569,14 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except (ValueError, ComponentIndexError) as exc:
-        print(f"pdneg: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        error, code = exc, EXIT_USAGE
     except (NegationError, OSError) as exc:  # an OSError here is a failed write to stdout
-        print(f"pdneg: {exc}", file=sys.stderr)
-        return EXIT_APPLICATION
+        error, code = exc, EXIT_APPLICATION
+    message = str(error)
+    if len(message) > _MESSAGE_CAP:
+        message = f"{message[:300]} ... {message[-95:]}"
+    print(f"pdneg: {message}", file=sys.stderr)
+    return code
 
 
 def console_main() -> None:

@@ -7,8 +7,10 @@ traceback is printed; a failure writes `pdneg: ...` to stderr and nothing to
 stdout, and a CSV report parses into rows as wide as its header.  Arbitrary
 descriptor text, and mixtures nested up to 600 deep, go to negate and to
 check, whose exit code may also be 1.  Seeded byte-level mutations of the
-golden documents, deep nesting and invalid UTF-8 go to main in a child
-interpreter, at Python's default recursion limit.
+golden documents, deep nesting, invalid UTF-8 and huge faulty entries go to
+main in a child interpreter, at Python's default recursion limit; each error
+there is one line whose message, however long the input, is at most 400
+characters.
 """
 
 from __future__ import annotations
@@ -123,21 +125,24 @@ def test_nested_mixtures_end_in_a_report_or_one_error_line(check):
 
 
 # Runs main over each argv of the JSON list on stdin, printing per argv its
-# exit code (or the exception that escaped main) and whether stdout stayed
-# empty.  A child has Python's default recursion limit, which hypothesis
-# raises while a test runs.
+# exit code (or the exception that escaped main), whether stdout stayed empty
+# and what went to stderr.  A child has Python's default recursion limit,
+# which hypothesis raises while a test runs.
 CHILD = """
 import contextlib, io, json, sys
 from pdneg.cli import main
 for argv in json.load(sys.stdin):
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     except Exception as exc:
         code = f"{type(exc).__name__} escaped main: {exc}"[:200]
-    print(json.dumps([code, out.getvalue() == ""]))
+    print(json.dumps([code, out.getvalue() == "", err.getvalue()]))
 """
+# The longest error line main prints: "pdneg: ", a message of at most 400
+# characters, and the newline.
+ERROR_LINE_CAP = len("pdneg: ") + 400 + 1
 EXAMPLE_LINE = " ".join(map(str, EXAMPLE_PD)) + "\n"
 
 
@@ -164,7 +169,9 @@ def test_mutated_inputs_at_the_default_recursion_limit_end_in_a_report_or_one_er
     inputs = [mutant for text in (DOCUMENT, QUOTED_DOCUMENT, FORMAT_LIKE_DOCUMENT, EXAMPLE_LINE)
               for mutant in mutants(rng, text, 49)]
     inputs += [b"[" * 50_000, b'{"distributions": ' + b"[" * 50_000, b"\xff\xfe0.5 0.5\n",
-               DOCUMENT.encode().replace(b"tie", b"t\xc3\x28e")]
+               DOCUMENT.encode().replace(b"tie", b"t\xc3\x28e"),
+               json.dumps({"distributions": [["x"] * 20_000]}).encode(),
+               json.dumps({"distributions": [{"label": "a", "values": ["x" * 50_000]}]}).encode()]
     cases = []
     for number, data in enumerate(inputs):
         path = tmp_path / f"{number}.in"
@@ -180,7 +187,10 @@ def test_mutated_inputs_at_the_default_recursion_limit_end_in_a_report_or_one_er
     assert done.returncode == 0, done.stderr
     results = [json.loads(line) for line in done.stdout.splitlines()]
     assert len(results) == len(cases)
-    for argv, (code, out_empty) in zip(cases, results):
+    for argv, (code, out_empty, err) in zip(cases, results):
         assert code in (0, 1, 2, 3), (argv, code)
         if code == 2:
             assert out_empty, argv
+        if code in (2, 3):
+            assert err.startswith("pdneg: ") and err.endswith("\n") and err.count("\n") == 1, (argv, err[:200])
+            assert len(err) <= ERROR_LINE_CAP, (argv, len(err))
