@@ -2,8 +2,9 @@
 
 Commands: negate, check, iterate, sweep-alpha, entropy.  All five take
 --format and --pretty; check reads no input and takes no --input.  The other
-four read their distributions from --input (a UTF-8 file; default stdin, in
-the interpreter's encoding) either as a JSON document
+four read their distributions from --input (a UTF-8 file, a leading
+byte-order mark skipped; default stdin, in the interpreter's encoding)
+either as a JSON document
 
     {"distributions": [{"label": "pd1", "values": [0, 0.1, 0.2, 0.3, 0.4]}]}
 
@@ -43,12 +44,11 @@ one's index in that store, both in document order; each record rebuilds its
 Distribution from these without checking it again.  A JSON entry written
 {"label": ..., "values": [...]} is stored as soon as it is decoded and left
 in the document as a token of its label and index; any other entry is
-stored when read, so the store need not be in document order.  On a
-6.9 MB document of 50 000 distributions of 5 components, every report peaks
-at 30.7-30.9 MB of fresh-process RSS.  The first chunk is built before
-anything is written; after it, only a kernel's InternalConsistencyError (a
-negation off the simplex) or a failed write to stdout (such as a closed
-pipe) can stop a report partway, leaving what was written so far on stdout.
+stored when read, so the store need not be in document order.  The first
+chunk is built before anything is written; after it, only a kernel's
+InternalConsistencyError (a negation off the simplex) or a failed write to
+stdout (such as a closed pipe) can stop a report partway, leaving what was
+written so far on stdout.
 
 main builds the parser of the command its first argument names, and that
 parser alone parses the rest, printing the command's help and errors as the
@@ -169,7 +169,7 @@ def _read_input(args) -> _Input:
         if args.input in (None, "-"):
             text = sys.stdin.read()
         else:
-            with open(args.input, encoding="utf-8") as document:
+            with open(args.input, encoding="utf-8-sig") as document:
                 text = document.read()
     except OSError as exc:  # an input that cannot be opened or read is a usage error
         raise ValueError(str(exc)) from exc

@@ -35,10 +35,10 @@ empirically.
 Each descriptor maps a whole vector of values in one call of its kernel,
 :meth:`NegatorDescriptor.images`, which computes a pd-dependent normaliser
 once.  Costs in the distribution length n: :func:`apply_transformation` is
-O(n); :func:`evaluate` is O(n) with a context and O(1) without (O(n) for a
-claimed-independent generator, via its canonical context); and
-:func:`pdneg.analysis.check_negation_pair` is O(n log n), plus O(n) for each
-index with a violation.
+O(n); :func:`evaluate` is O(n) with a context and O(1) without (for a
+claimed-independent generator too, computed from the two terms of its
+canonical context); and :func:`pdneg.analysis.check_negation_pair` is
+O(n log n), plus O(n) for each index with a violation.
 
 One slack, :data:`pdneg.core.DEFAULT_TOLERANCE` (1e-9), serves both ends of
 a transformation: a probability argument may lie that far outside [0, 1]
@@ -145,8 +145,12 @@ class _Normalised(_Frozen, NegatorDescriptor):
     """N(p) = f(p) / sum f(p_i) over the context; ``numerators(values)`` gives f at each value."""
 
     def images(self, values, n, context=None):
-        if context is None:
-            return self._without_context(values, n)
+        if context is None:  # the canonical context (p, q, ..., q), q = Y(p), holds two distinct terms
+            if not (self.claims_pd_independent and n is not None):
+                raise ContextRequired(f"{type(self).__name__} is pd-dependent and needs a context distribution")
+            canonical, rest = YAGER.images(values, n), n - 1
+            return [self._normalise([fp], [fp, rest * fq])[0]
+                    for fp, fq in zip(self.numerators(values), self.numerators(canonical))]
         if context is values:
             numerators = self.numerators(values)
             return self._normalise(numerators, numerators)
@@ -162,13 +166,12 @@ class _Normalised(_Frozen, NegatorDescriptor):
         try:
             total = math.fsum(terms)
         except OverflowError:
-            raise GeneratorError(f"{self.spec_string()} overflows when summed over the context") from None
+            total = math.inf
+        if total == math.inf:
+            raise GeneratorError(f"{self.spec_string()} overflows when summed over the context")
         if total <= 0.0:
             raise GeneratorError(f"{self.spec_string()} sums to {total!r} over the context, expected > 0")
         return [x / total for x in numerators]
-
-    def _without_context(self, values, n):
-        raise ContextRequired(f"{type(self).__name__} is pd-dependent and needs a context distribution")
 
 
 class RootSum(_Normalised):
@@ -231,7 +234,8 @@ class Generator(_Normalised):
     defaults to False and may be asserted by the caller (typically after
     probing).  A claimed-independent generator evaluated without a context
     uses the canonical two-value distribution (p, q, ..., q) with
-    q = (1 - p)/(n - 1), which by the claim is as good as any other.
+    q = (1 - p)/(n - 1), which by the claim is as good as any other; its
+    normaliser is summed as f(p) + (n - 1) * f(q).
     """
 
     FIELDS = ("fn", "label", "claims_pd_independent")
@@ -249,15 +253,6 @@ class Generator(_Normalised):
         for p, fp in zip(values, out):
             if not 0.0 <= fp < math.inf:
                 raise GeneratorError(f"generator {self.label} is negative, infinite or NaN at {p!r}: f = {fp!r}")
-        return out
-
-    def _without_context(self, values, n):
-        if not (self.claims_pd_independent and n is not None):
-            return super()._without_context(values, n)
-        out = []
-        for p, q in zip(values, YAGER.images(values, n)):
-            fp, fq = self.numerators((p, q))
-            out.extend(self._normalise([fp], [fp] + [fq] * (n - 1)))
         return out
 
 

@@ -700,6 +700,18 @@ class TestInputDocument:
         assert (code, out) == (2, "")
         assert err == "pdneg: distribution 'pd2': could not convert string to float: 'x'\n"
 
+    @pytest.mark.parametrize("text", [
+        json.dumps({"distributions": [{"label": "a", "values": [0.5, 0.5]}, {"label": "b", "values": [1, 0]}]}),
+        "0.5 0.5\n0.25, 0.75\n",
+    ], ids=["json", "text"])
+    def test_a_leading_byte_order_mark_is_skipped(self, capsys, tmp_path, text):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        expected = run(capsys, "entropy", "--input", str(plain))
+        assert expected[0] == 0
+        assert run(capsys, "entropy", "--input", str(marked)) == expected
+
     def test_an_input_file_is_utf_8_whatever_the_locale(self, tmp_path):
         path = tmp_path / "input.json"
         path.write_bytes(b'{"distributions": [{"label": "caf\xc3\xa9", "values": [0.5, 0.5]}]}')

@@ -3,13 +3,16 @@ and the textual descriptor syntax."""
 
 from __future__ import annotations
 
+import gc
 import math
 import operator
+import tracemalloc
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import EXAMPLE_PD, simplexes
+from conftest import EXAMPLE_PD, descriptors, extreme_simplexes, simplexes
 from pdneg import (
     ArgumentError,
     ContextMismatch,
@@ -40,8 +43,10 @@ from pdneg import (
     parse_descriptor,
     point_distribution,
     sample_distributions,
+    uniform_distribution,
     validate_distribution,
 )
+from pdneg.analysis import CHECK_TOLERANCE
 from pdneg.cli import main
 from pdneg.negators import MAX_MIX_DEPTH
 
@@ -157,6 +162,29 @@ class TestEvaluate:
     def test_claimed_independent_generator_evaluates_without_context(self):
         flat = Generator(lambda p: 1.0, "flat", claims_pd_independent=True)
         assert evaluate(flat, 0.3, n=4) == 0.25
+
+    SQUARE = Generator(lambda p: (1 - p) ** 2, "square", claims_pd_independent=True)
+
+    # In the canonical context (p, q, ..., q), q = (1 - p)/(n - 1), N(p) = f(p) / (f(p) + (n - 1) f(q)).
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 1000, 7131])
+    def test_claimed_independent_generator_is_accurate_in_its_canonical_context(self, n):
+        points = [k / 1000 for k in range(1001)] + [5e-324, 1e-300, 1.0 / n, 1.0 - 2.0**-53]
+        f = self.SQUARE.fn
+        for p, q, image in zip(points, YAGER.images(points, n), self.SQUARE.images(points, n)):
+            fp = Fraction(f(p))
+            exact = fp / (fp + (n - 1) * Fraction(f(q)))
+            assert abs(Fraction(image) - exact) <= 2 * Fraction(math.ulp(image)), p
+
+    def test_claimed_independent_generator_builds_nothing_of_length_n(self):
+        evaluate(self.SQUARE, 0.3, n=10)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            evaluate(self.SQUARE, 0.3, n=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024
 
 
 class TestApplyTransformation:
@@ -279,6 +307,10 @@ class TestGeneratorContract:
     def test_an_overflowing_normaliser_is_rejected(self):
         with pytest.raises(GeneratorError, match="overflows"):
             from_generator(lambda p: 1e308, Distribution((0.5, 0.5)))
+        huge = Generator(lambda p: 1e308, "huge", claims_pd_independent=True)
+        for n in (2, 3, 5):  # without a context, f(p) + (n - 1) f(q) overflows
+            with pytest.raises(GeneratorError, match="overflows"):
+                evaluate(huge, 0.5, n=n)
 
 
 class TestProbabilitySlack:
@@ -318,6 +350,32 @@ class TestTsallisAcrossK:
     def test_no_cancellation_on_seeded_distributions(self, k):
         for dist in sample_distributions(6, 200, seed=0):
             validate_distribution(apply_transformation(Tsallis(k), dist).values)
+
+
+class TestEveryAdmittedDescriptor:
+    """Every descriptor the parser admits maps every distribution to a distribution."""
+
+    # At n = 7131 the raw alpha of linear:n0=1/n is 1 + 1e-12.
+    LENGTHS = st.one_of(st.integers(2, 3000), st.just(7131))
+    BOUNDARY = (7131, f"linear:n0={1 / 7131!r}")
+
+    @settings(deadline=None, max_examples=100)
+    @given(LENGTHS.flatmap(lambda n: st.tuples(st.just(n), descriptors(n), extreme_simplexes(n))))
+    @example((*BOUNDARY, point_distribution(7131, 1)))
+    @example((7131, "tsallis:k=5e-324", uniform_distribution(7131)))  # 1 - p**k is 0 at every p
+    def test_returns_a_valid_distribution(self, case):
+        n, text, dist = case
+        out = apply_transformation(parse_descriptor(text, n), dist)
+        assert len(out) == n
+        validate_distribution(out.values)
+
+    @settings(deadline=None, max_examples=100)
+    @given(LENGTHS.flatmap(lambda n: st.tuples(st.just(n), descriptors(n))))
+    @example(BOUNDARY)
+    def test_maps_uniform_to_uniform(self, case):
+        n, text = case
+        out = apply_transformation(parse_descriptor(text, n), uniform_distribution(n))
+        assert max(abs(v - 1.0 / n) for v in out.values) <= CHECK_TOLERANCE
 
 
 class TestMixture:
