@@ -63,6 +63,9 @@ COMMANDS = [
     # The wide path: n = 1000 contexts in the probe and a 10001-point sweep.
     ("check-tsallis-n1000", ["check", "tsallis:k=2", "--n", "1000", "--grid", "10001", "--seed", "7"], 1),
     ("check-mix-n1000", ["check", "mix:[0.3*linear:alpha=0.2,0.7*yager]", "--n", "1000", "--grid", "10001"], 0),
+    # The two paths a linear-family block shares: Yager's Y(p) is its N(p), and a line is N(p).
+    ("check-yager-n1000", ["check", "yager", "--n", "1000", "--grid", "10001"], 0),
+    ("check-linear-n1000", ["check", "linear:alpha=0.3", "--n", "1000", "--grid", "10001"], 0),
 ]
 # (name, argv, exit code), run on QUOTED_DOCUMENT
 QUOTED_COMMANDS = [
