@@ -8,18 +8,21 @@ Every check returns a :class:`CheckReport` listing each violation with its
 location and magnitude; a report passes exactly when it has no violations.
 
 The four grid checks (fixed point, balance identity, boundary ranges,
-linearity) share one sweep of the grid, in blocks of GRID_BLOCK points: it
-maps each block's points through N once and hands every check the points
-and their images; the balance-identity check maps the block once more, at
-Yager's Y(p), itself.  Each public check runs the same sweep with itself
-alone; :func:`audit`, the one plan of ``pdneg check``, runs all four in one
-sweep and then the independence probe.  A check's preconditions and one-off
-evaluations, such as N(1/n), N(0) and N(1), run before the sweep.  Every
-check refuses a tolerance that is not a finite number >= 0, and every
-comparison against the tolerance fails closed: a NaN or infinite image is a
-violation of magnitude math.inf.
+linearity) share one sweep of the grid, in blocks of GRID_BLOCK points; each
+public check runs it with itself alone, and :func:`audit`, the one plan of
+``pdneg check``, with all four, then the independence probe.  Every check
+reads one block object: the points, N at each, and Yager's Y(p), N(Y(p)),
+Y(N(p)) and linearity's line, each computed once, when first read.  A
+linear-family kernel is known by its alpha, so for ``yager`` Y(p) is N(p)
+itself, as is the line of a linear negator.  The reads run in builtins
+(bisect, map, min, max, sum): the fixed-point and boundary checks split a
+block at 1/n and go point by point only near 1/n and through a run whose
+bound an image breaks.  Preconditions and one-off evaluations, such as
+N(1/n), N(0) and N(1), run before the sweep.  Every check refuses a
+tolerance that is not a finite number >= 0, and every comparison against
+the tolerance fails closed: a NaN or infinite image is a violation of
+magnitude math.inf.
 
-The balance and linearity residuals are taken in builtins (map, max, sum).
 Both seeded samplers draw each point through one helper, _simplex_point:
 unit exponentials -log(1.0 - random()) read through itertools.islice, as
 random.Random.expovariate(1.0) computes them, scaled to the mass they fill
@@ -28,6 +31,7 @@ by their math.fsum; each result is bit-identical to a loop over the values.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -43,6 +47,7 @@ from .negators import (
     Linear,
     NegatorDescriptor,
     _coerce_probability,
+    _LinearFamily,
     apply_transformation,
     evaluate,
 )
@@ -54,7 +59,7 @@ CHECK_TOLERANCE = 1e-12
 #: Hard cap on component evaluations per iterate_negation call.
 MAX_COMPONENT_EVALUATIONS = 10**6
 #: Grid points per kernel call in the grid sweeps: a sweep holds one block's
-#: points, images and balance residuals at a time, whatever the grid size.
+#: points, images and residuals at a time, whatever the grid size.
 GRID_BLOCK = 2048
 
 
@@ -184,10 +189,29 @@ def _require_claims(descriptor: NegatorDescriptor, n: int, *, negator: bool = Fa
     require_length(n)
 
 
-def _balance(descriptor: NegatorDescriptor, n: int, ps: list[float], images: list[float]) -> list[float]:
-    """The balance residual |N(Y(p)) - Y(N(p))| at each value, given N at each."""
-    crossed = descriptor.images(YAGER.images(ps, n), n)
-    return list(map(abs, map(operator.sub, crossed, YAGER.images(images, n))))
+class _Block:
+    """One block of a sweep, which every check reads: the grid points, N at each
+    (``images``), whether every image is ``finite``, and each other image a check
+    reads, computed once and remembered by its kernel and input list."""
+
+    def __init__(self, descriptor: NegatorDescriptor, n: int, points: list[float]) -> None:
+        self.descriptor, self.n, self.points, self._memo = descriptor, n, points, {}
+        self.images = self.image(descriptor, points)
+        self.finite = math.isfinite(sum(self.images))
+
+    def image(self, descriptor: NegatorDescriptor, values: list[float]) -> list[float]:
+        linear = isinstance(descriptor, _LinearFamily)
+        key = (type(descriptor).images, descriptor.alpha) if linear else id(descriptor), id(values)
+        if key not in self._memo:
+            self._memo[key] = descriptor.images(values, self.n)
+        return self._memo[key]
+
+    def balance(self) -> list[float]:
+        """The residual |N(Y(p)) - Y(N(p))| at each point; for ``yager`` the two are one list."""
+        crossed, back = self.image(self.descriptor, self.image(YAGER, self.points)), self.image(YAGER, self.images)
+        if crossed is back and math.isfinite(sum(back)):
+            return [0.0] * len(back)
+        return list(map(abs, map(operator.sub, crossed, back)))
 
 
 class _GridCheck:
@@ -196,11 +220,10 @@ class _GridCheck:
     A subclass's constructor runs the check's preconditions, which raise its
     refusals, and its one-off evaluations; once the preconditions hold it
     calls this constructor, which holds the grid size, the tolerance and the
-    violations found so far.  ``read(points, images)`` then takes each block
-    of the sweep in order: the block's grid points and N at each.  A check
-    whose ``sweeps`` is false reads no block.  ``result()`` returns what the
-    check's public function returns, by default a report of the check's
-    ``violations`` over ``grid_size`` points at ``tolerance``.
+    violations found so far.  ``read(block)`` then takes each block of the
+    sweep in order; a check whose ``sweeps`` is false reads none.  ``result()``
+    returns what the check's public function returns, by default a report of
+    its ``violations`` over ``grid_size`` points at ``tolerance``.
     """
 
     name: str
@@ -217,21 +240,17 @@ class _GridCheck:
 
 def _sweep(descriptor: NegatorDescriptor, n: int, grid_size: int, checks: list[_GridCheck]) -> None:
     """Pass every point p = k/(grid_size - 1) of the grid over [0, 1], in order,
-    to each check that sweeps, in blocks of at most GRID_BLOCK points.
-
-    A block's points are built once and mapped by one kernel call (the
-    balance identity maps them once more, at Y(p)).  Every kernel without a
-    context maps value by value, so no result depends on the block size.
-    """
+    to each check that sweeps, as one :class:`_Block` of at most GRID_BLOCK
+    points at a time.  Every kernel without a context maps value by value, so
+    no result depends on the block size."""
     readers = [check for check in checks if check.sweeps]
     if not readers:
         return
     last = grid_size - 1
     for start in range(0, grid_size, GRID_BLOCK):
-        points = [k / last for k in range(start, min(start + GRID_BLOCK, grid_size))]
-        images = descriptor.images(points, n)
+        block = _Block(descriptor, n, [k / last for k in range(start, min(start + GRID_BLOCK, grid_size))])
         for check in readers:
-            check.read(points, images)
+            check.read(block)
 
 
 def _alone(check_type: type[_GridCheck], descriptor: NegatorDescriptor, n: int, grid_size: int, tolerance: float):
@@ -263,7 +282,18 @@ class _FixedPoint(_GridCheck):
         else:
             self.notes.append(f"pointwise checks skipped: descriptor {IndependenceRequired.refusal}")
 
-    def read(self, points, images):
+    def read(self, block):
+        points, images, tolerance = block.points, block.images, self.tolerance
+        below, above = bisect.bisect_left(points, self.u - tolerance), bisect.bisect_right(points, self.u + tolerance)
+        # N(p) - p must exceed the tolerance below 1/n - tol and lie under -tol above 1/n + tol.  On a
+        # run it is at least min(N) - max(p) and at most max(N) - min(p), so a run within that passes.
+        if below and not (block.finite and tolerance < min(images[:below]) - points[below - 1]):
+            self.scan(points[:below], images[:below])
+        self.scan(points[below:above], images[below:above])
+        if above < len(points) and not (block.finite and max(images[above:]) - points[above] < -tolerance):
+            self.scan(points[above:], images[above:])
+
+    def scan(self, points, images):
         u, tolerance, violations, inf = self.u, self.tolerance, self.violations, math.inf
         below, above = u - tolerance, u + tolerance
         for p, value in zip(points, images):
@@ -276,12 +306,8 @@ class _FixedPoint(_GridCheck):
                 violations.append(Violation(p, expected=p, actual=value, magnitude=gap))
 
 
-def fixed_point_check(
-    descriptor: NegatorDescriptor,
-    n: int,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    tolerance: float = CHECK_TOLERANCE,
-) -> CheckReport:
+def fixed_point_check(descriptor: NegatorDescriptor, n: int, grid_size: int = DEFAULT_GRID_SIZE,
+                      tolerance: float = CHECK_TOLERANCE) -> CheckReport:
     """Verify the fixed-point behaviour of a descriptor at length n.
 
     (a) the uniform distribution maps to itself; (b) for a pd-independent
@@ -304,7 +330,7 @@ def functional_equation_residual(descriptor: NegatorDescriptor, n: int, p: float
     """
     ps = [_coerce_probability(p)]
     _require_claims(descriptor, n)
-    return _balance(descriptor, n, ps, descriptor.images(ps, n))[0]
+    return _Block(descriptor, n, ps).balance()[0]
 
 
 class _FunctionalEquation(_GridCheck):
@@ -314,20 +340,17 @@ class _FunctionalEquation(_GridCheck):
         _require_grid(grid_size)
         _require_claims(descriptor, n)
         super().__init__(grid_size, tolerance)
-        self.descriptor, self.n = descriptor, n
 
-    def read(self, points, images):
-        tolerance, residuals = self.tolerance, _balance(self.descriptor, self.n, points, images)
-        self.violations.extend(Violation(p, expected=0.0, actual=residual, magnitude=residual)
-                               for p, residual in zip(points, residuals) if not residual <= tolerance)
+    def read(self, block):
+        tolerance, residuals = self.tolerance, block.balance()
+        # max skips a NaN that is not its first argument; a NaN residual makes the sum NaN.
+        if max(residuals) > tolerance or math.isnan(sum(residuals)):
+            self.violations.extend(Violation(p, expected=0.0, actual=residual, magnitude=residual)
+                                   for p, residual in zip(block.points, residuals) if not residual <= tolerance)
 
 
-def functional_equation_check(
-    descriptor: NegatorDescriptor,
-    n: int,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    tolerance: float = CHECK_TOLERANCE,
-) -> CheckReport:
+def functional_equation_check(descriptor: NegatorDescriptor, n: int, grid_size: int = DEFAULT_GRID_SIZE,
+                              tolerance: float = CHECK_TOLERANCE) -> CheckReport:
     """Sweep the balance-identity residual over a grid."""
     return _alone(_FunctionalEquation, descriptor, n, grid_size, tolerance)
 
@@ -352,9 +375,19 @@ class _BoundaryRange(_GridCheck):
         if not abs(at_zero - tied) <= tolerance:
             self.violations.append(Violation(0.0, expected=tied, actual=at_zero, magnitude=abs(at_zero - tied)))
 
-    def read(self, points, images):
+    def read(self, block):
+        points, u, tolerance = block.points, self.u, self.tolerance
+        below, above = bisect.bisect_left(points, u), bisect.bisect_right(points, u)
+        head, tail = block.images[:below], block.images[above:]
+        # N(p) must lie in [u, high] for p < u and in [0, u] for p > u, each widened by the tolerance.
+        if head and not (block.finite and u - tolerance <= min(head) and max(head) <= self.high + tolerance):
+            self.scan(points[:below], head)
+        self.scan(points[below:above], block.images[below:above])
+        if tail and not (block.finite and 0.0 - tolerance <= min(tail) and max(tail) <= u + tolerance):
+            self.scan(points[above:], tail)
+
+    def scan(self, points, images):
         u, high, tolerance, violations = self.u, self.high, self.tolerance, self.violations
-        # N(p) must lie in [0, u] for p >= u and in [u, high] for p <= u, each widened by the tolerance.
         low_above, high_above, low_below, high_below = 0.0 - tolerance, u + tolerance, u - tolerance, high + tolerance
         for p, value in zip(points, images):
             if p >= u and not low_above <= value <= high_above:
@@ -363,12 +396,8 @@ class _BoundaryRange(_GridCheck):
                 violations.append(_interval_violation(p, value, u, high, tolerance))
 
 
-def boundary_range_check(
-    descriptor: NegatorDescriptor,
-    n: int,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    tolerance: float = CHECK_TOLERANCE,
-) -> CheckReport:
+def boundary_range_check(descriptor: NegatorDescriptor, n: int, grid_size: int = DEFAULT_GRID_SIZE,
+                         tolerance: float = CHECK_TOLERANCE) -> CheckReport:
     """Check the admissible value ranges of a pd-independent negator.
 
     On a grid, N(p) must stay in [0, 1/n] for p >= 1/n and in
@@ -387,7 +416,6 @@ class _Linearity(_GridCheck):
         _require_claims(descriptor, n, negator=True)
         _require_grid(grid_size, 3)
         super().__init__(grid_size, tolerance)
-        self.n = n
         raw = n * descriptor.images([1.0], n)[0]
         alpha = min(max(raw, 0.0), 1.0)
         # An n N(1) that leaves [0, 1] by more than the tolerance, or is NaN, is no linear negator's alpha.
@@ -395,10 +423,12 @@ class _Linearity(_GridCheck):
         self.line = Linear(alpha) if self.sweeps else None
         self.max_residual = 0.0 if self.sweeps else math.inf
 
-    def read(self, points, images):
-        worst = max(map(abs, map(operator.sub, images, self.line.images(points, self.n))))
-        # max skips a NaN that is not its first argument; a NaN image makes the sum NaN.
-        self.max_residual = max(self.max_residual, math.inf if math.isnan(sum(images)) else worst)
+    def read(self, block):
+        line = block.image(self.line, block.points)
+        if not block.finite:  # a NaN or infinite image fits no line
+            self.max_residual = math.inf
+        elif line is not block.images:  # else N is the line's own kernel, and each residual x - x is 0
+            self.max_residual = max(self.max_residual, max(map(abs, map(operator.sub, block.images, line))))
 
     def result(self):
         return LinearityVerdict(
@@ -408,12 +438,8 @@ class _Linearity(_GridCheck):
         )
 
 
-def linearity_test(
-    descriptor: NegatorDescriptor,
-    n: int,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    tolerance: float = CHECK_TOLERANCE,
-) -> LinearityVerdict:
+def linearity_test(descriptor: NegatorDescriptor, n: int, grid_size: int = DEFAULT_GRID_SIZE,
+                   tolerance: float = CHECK_TOLERANCE) -> LinearityVerdict:
     """Decide whether a pd-independent negator is linear at length n.
 
     The candidate line is pinned by the points (1/n, 1/n) and (1, N(1)),
@@ -471,14 +497,8 @@ def audit(descriptor: NegatorDescriptor, n: int, grid_size: int = DEFAULT_GRID_S
     return Audit(MappingProxyType(results))
 
 
-def independence_probe(
-    descriptor: NegatorDescriptor,
-    p: float,
-    contexts: Iterable[Distribution],
-    tolerance: float = CHECK_TOLERANCE,
-    *,
-    seed: int | None = None,
-) -> CheckReport:
+def independence_probe(descriptor: NegatorDescriptor, p: float, contexts: Iterable[Distribution],
+                       tolerance: float = CHECK_TOLERANCE, *, seed: int | None = None) -> CheckReport:
     """Evaluate a descriptor at the same value inside several distributions.
 
     Passes iff all evaluations agree within tolerance; disagreeing context

@@ -113,8 +113,16 @@ class NegatorDescriptor:
         descriptors normalise over it once per call and check that each
         value is one of its components; without it they raise
         :class:`ContextRequired`, except a generator claiming independence.
+        A descriptor that needs the length and has neither ``n`` nor a
+        context raises :class:`ArgumentError`.
         """
         raise DescriptorError(f"unknown descriptor type {type(self).__name__}")
+
+
+def _length_required(descriptor: NegatorDescriptor) -> ArgumentError:
+    return ArgumentError(
+        f"{type(descriptor).__name__} evaluation needs the distribution length; pass n= or a context distribution"
+    )
 
 
 class Identity(_Frozen, NegatorDescriptor):
@@ -133,9 +141,7 @@ class _LinearFamily(_Frozen, NegatorDescriptor):
 
     def images(self, values, n, context=None):
         if n is None:
-            raise ArgumentError(
-                f"{type(self).__name__} evaluation needs the distribution length; pass n= or a context distribution"
-            )
+            raise _length_required(self)
         require_length(n)
         head, slope, rest = self.alpha / n, 1.0 - self.alpha, float(n - 1)
         return [head + slope * (1.0 - p) / rest for p in values]
@@ -146,8 +152,10 @@ class _Normalised(_Frozen, NegatorDescriptor):
 
     def images(self, values, n, context=None):
         if context is None:  # the canonical context (p, q, ..., q), q = Y(p), holds two distinct terms
-            if not (self.claims_pd_independent and n is not None):
+            if not self.claims_pd_independent:
                 raise ContextRequired(f"{type(self).__name__} is pd-dependent and needs a context distribution")
+            if n is None:
+                raise _length_required(self)
             canonical, rest = YAGER.images(values, n), n - 1
             return [self._normalise([fp], [fp, rest * fq])[0]
                     for fp, fq in zip(self.numerators(values), self.numerators(canonical))]
@@ -320,7 +328,8 @@ def evaluate(
     need a context containing ``p`` as a component within 1e-12; a
     pd-dependent descriptor without one raises :class:`ContextRequired`,
     except for generators that claim independence, which fall back to the
-    canonical two-value context.
+    canonical two-value context of length ``n`` and, like the linear family,
+    raise :class:`ArgumentError` without ``n``.
     """
     p = _coerce_probability(p)
     if context is not None:

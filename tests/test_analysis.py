@@ -9,7 +9,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import EXAMPLE_PD, normalize
 from pdneg import (
@@ -55,7 +55,9 @@ from pdneg import (
     uniform_distribution,
     validate_distribution,
 )
+from pdneg.analysis import CHECK_TOLERANCE
 from pdneg.cli import main
+from pdneg.negators import _LinearFamily
 
 EXAMPLE = validate_distribution(EXAMPLE_PD)
 
@@ -465,6 +467,17 @@ class TestNaNImages:
         assert [v.location for v in report.violations] == [0.2, 0.2]
         self.assert_nan_violations(report, {0.2})
 
+    def test_a_nan_from_the_shared_yager_kernel_fails_the_balance_identity(self, monkeypatch):
+        # For yager N(Y(p)) and Y(N(p)) are one list; a NaN in it is still a residual of magnitude inf.
+        kernel = _LinearFamily.images
+
+        def spoilt(self, values, n, context=None):
+            return [math.nan if p == 0.5 else y for p, y in zip(values, kernel(self, values, n, context))]
+
+        monkeypatch.setattr(_LinearFamily, "images", spoilt)
+        report = functional_equation_check(YAGER, 5, grid_size=11)
+        assert [(v.location, v.magnitude) for v in report.violations] == [(0.5, math.inf)]
+
     def test_a_nan_evaluation_fails_the_probe(self):
         class NaNInThree(NegatorDescriptor):
             def images(self, values, n, context=None):
@@ -584,6 +597,121 @@ class TestGridBlocks:
                 tracemalloc.stop()
 
         assert peak(50 * analysis.GRID_BLOCK) <= 1.5 * peak(2 * analysis.GRID_BLOCK)
+
+
+class _Pointwise(NegatorDescriptor):
+    """f(p, n) at each value, claiming to be a pd-independent negator."""
+
+    claims_negator = claims_pd_independent = uses_length = True
+
+    def __init__(self, f):
+        self.f = f
+
+    def images(self, values, n, context=None):
+        return [self.f(p, n) for p in values]
+
+
+def _wobble(p, n):
+    """Yager's Y(p) + 0.05 x sin(2 pi log2 |x|), x = p - 1/n.  At n = 3 it strictly
+    decreases and keeps the balance identity, yet negates no distribution."""
+    x = p - 1.0 / n
+    return (1.0 - p) / (n - 1) + (0.05 * x * math.sin(2.0 * math.pi * math.log2(abs(x))) if x else 0.0)
+
+
+def _interval(p, value, low, high, tolerance):
+    if value < low - tolerance:
+        return Violation(p, expected=low, actual=value, magnitude=low - value)
+    return Violation(p, expected=high, actual=value, magnitude=value - high)
+
+
+def _per_point_reads(descriptor, n, tolerance, points, images):
+    """Each grid check's violations on one block, found point by point, by check name."""
+    u, high, found = 1.0 / n, 1.0 / (n - 1), {"fixed-point": [], "functional-equation": [], "boundary-range": []}
+    for p, value in zip(points, images):
+        # Fixed point: N(p) = p only within the tolerance of 1/n; elsewhere N(p) - p is finite,
+        # positive below 1/n - tol and negative above 1/n + tol.
+        gap = abs(value - p)
+        if gap <= tolerance and abs(p - u) > tolerance:
+            found["fixed-point"].append(Violation(p, expected=u, actual=p, magnitude=abs(p - u)))
+        elif not gap <= tolerance and (math.isnan(gap) or gap == math.inf or value < p < u - tolerance
+                                       or value > p > u + tolerance):
+            found["fixed-point"].append(Violation(p, expected=p, actual=value, magnitude=gap))
+        crossed = descriptor.images(YAGER.images([p], n), n)[0]
+        residual = abs(crossed - YAGER.images([value], n)[0])
+        if not residual <= tolerance:
+            found["functional-equation"].append(Violation(p, expected=0.0, actual=residual, magnitude=residual))
+        if p >= u and not -tolerance <= value <= u + tolerance:
+            found["boundary-range"].append(_interval(p, value, 0.0, u, tolerance))
+        if p <= u and not u - tolerance <= value <= high + tolerance:
+            found["boundary-range"].append(_interval(p, value, u, high, tolerance))
+    return found
+
+
+class TestBlockReads:
+    """The grid checks read each block in builtins, scanning point by point only
+    what may fail, and a block computes each image once."""
+
+    SQRT = Generator(math.sqrt, "sqrt", claims_pd_independent=True)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_each_read_names_the_violations_of_a_per_point_read(self, data):
+        n = data.draw(st.sampled_from([2, 3, 5, 1000]), "n")
+        last = data.draw(st.integers(2, 120), "grid intervals")  # linearity needs 3 points
+        points = [k / last for k in range(last + 1)]
+        # The wide tolerance puts several grid points within it of 1/n.
+        tolerance = data.draw(st.sampled_from([0.0, CHECK_TOLERANCE, 3.5 / last]), "tolerance")
+        spoilt = data.draw(st.sampled_from(points), "NaN at")
+        descriptor = data.draw(st.sampled_from([
+            YAGER, Linear(0.3), self.SQRT, IDENTITY, _Pointwise(_wobble),
+            _Pointwise(lambda p, n: math.nan if p == spoilt else (1.0 - p) / (n - 1)),
+            # Halfway between 1/n and 1/(n-1) at every p: inside the bound below 1/n only.
+            _Pointwise(lambda p, n: (1.0 - p) / (n - 1) + (1.0 / (n - 1) - 1.0 / n) / 2),
+        ]), "descriptor")
+        # A read depends on n and the tolerance alone; the block holds the descriptor's images.
+        checks = [check_type(YAGER, n, len(points), tolerance)
+                  for check_type in (analysis._FixedPoint, analysis._FunctionalEquation, analysis._BoundaryRange)]
+        for check in checks:
+            check.violations.clear()
+        linearity = analysis._Linearity(descriptor, n, len(points), tolerance) if descriptor.claims_negator else None
+        sweeps = linearity is not None and linearity.sweeps
+        cut = data.draw(st.integers(0, len(points)), "block split")
+        expected = {check.name: [] for check in checks}
+        for block_points in (points[:cut], points[cut:]):
+            if block_points:
+                block = analysis._Block(descriptor, n, block_points)
+                for name, violations in _per_point_reads(descriptor, n, tolerance, block_points, block.images).items():
+                    expected[name].extend(violations)
+                for check in checks + [linearity] if sweeps else checks:
+                    check.read(block)
+        for check in checks:  # by repr, since a NaN field equals nothing
+            assert list(map(repr, check.violations)) == list(map(repr, expected[check.name])), check.name
+        if sweeps:
+            images = descriptor.images(points, n)
+            assert linearity.max_residual == max(abs(value - y) if math.isfinite(value) else math.inf
+                                                 for value, y in zip(images, linearity.line.images(points, n)))
+
+    @pytest.mark.parametrize("descriptor,per_block", [(YAGER, 2), (UNIFORM, 4), (Linear(0.3), 4)])
+    def test_a_block_computes_each_image_once(self, descriptor, per_block, monkeypatch):
+        calls = []
+        kernel = _LinearFamily.images
+
+        def counted(self, values, n, context=None):
+            calls.append((self.alpha, values, kernel(self, values, n, context)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(_LinearFamily, "images", counted)
+        monkeypatch.setattr("pdneg.analysis.GRID_BLOCK", 40)
+        checks = [check_type(descriptor, 5, 101, CHECK_TOLERANCE) for check_type in analysis._GRID_CHECKS]
+        del calls[:]
+        analysis._sweep(descriptor, 5, 101, checks)
+        assert all(check.violations == [] for check in checks[:3]) and checks[3].result().max_residual == 0.0
+        # calls holds every input list, so no two of them share an id.
+        assert len(calls) == 3 * per_block
+        assert len({(alpha, id(values)) for alpha, values, _ in calls}) == len(calls)
+        if descriptor is YAGER:  # N(p), Yager's Y(p) too, then N(N(p)), Y(N(p)) too
+            for (_, points, images), (_, inner, _) in zip(calls[::2], calls[1::2]):
+                assert inner is images and len(points) in (40, 21)
 
 
 class TestAudit:

@@ -10,7 +10,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import EXAMPLE_PD, descriptors, extreme_simplexes, simplexes
 from pdneg import (
@@ -46,7 +46,7 @@ from pdneg import (
     uniform_distribution,
     validate_distribution,
 )
-from pdneg.analysis import CHECK_TOLERANCE
+from pdneg.analysis import CHECK_TOLERANCE, check_negation_pair
 from pdneg.cli import main
 from pdneg.negators import MAX_MIX_DEPTH
 
@@ -149,6 +149,15 @@ class TestEvaluate:
     def test_length_required_for_length_dependent_descriptors(self):
         with pytest.raises(ArgumentError):
             evaluate(UNIFORM, 0.5)
+
+    # A generator claiming pd-independence lacks only the length, and says so as the linear family does.
+    @pytest.mark.parametrize("descriptor", [UNIFORM, Generator(lambda p: 1.0 - p, claims_pd_independent=True)])
+    def test_a_claimed_independent_descriptor_without_context_or_length_needs_the_length(self, descriptor):
+        with pytest.raises(NegationError) as excinfo:
+            evaluate(descriptor, 0.3)
+        assert type(excinfo.value) is ArgumentError
+        assert str(excinfo.value) == (
+            f"{type(descriptor).__name__} evaluation needs the distribution length; pass n= or a context distribution")
 
     def test_context_and_length_must_agree(self):
         with pytest.raises(ArgumentError):
@@ -352,17 +361,28 @@ class TestTsallisAcrossK:
             validate_distribution(apply_transformation(Tsallis(k), dist).values)
 
 
+class _Case(tuple):
+    """A drawn (n, descriptor text[, distribution]) case whose repr names n, the
+    text and the distribution's first and last components, not all n of them."""
+
+    def __repr__(self):
+        n, text, *dist = self
+        ends = f", first={dist[0][0]!r}, last={dist[0][-1]!r}" if dist else ""
+        return f"Case(n={n}, text={text!r}{ends})"
+
+
 class TestEveryAdmittedDescriptor:
     """Every descriptor the parser admits maps every distribution to a distribution."""
 
     # At n = 7131 the raw alpha of linear:n0=1/n is 1 + 1e-12.
     LENGTHS = st.one_of(st.integers(2, 3000), st.just(7131))
     BOUNDARY = (7131, f"linear:n0={1 / 7131!r}")
+    MAPPED = LENGTHS.flatmap(lambda n: st.tuples(st.just(n), descriptors(n), extreme_simplexes(n))).map(_Case)
 
     @settings(deadline=None, max_examples=100)
-    @given(LENGTHS.flatmap(lambda n: st.tuples(st.just(n), descriptors(n), extreme_simplexes(n))))
-    @example((*BOUNDARY, point_distribution(7131, 1)))
-    @example((7131, "tsallis:k=5e-324", uniform_distribution(7131)))  # 1 - p**k is 0 at every p
+    @given(MAPPED)
+    @example(_Case((*BOUNDARY, point_distribution(7131, 1))))
+    @example(_Case((7131, "tsallis:k=5e-324", uniform_distribution(7131))))  # 1 - p**k is 0 at every p
     def test_returns_a_valid_distribution(self, case):
         n, text, dist = case
         out = apply_transformation(parse_descriptor(text, n), dist)
@@ -370,8 +390,17 @@ class TestEveryAdmittedDescriptor:
         validate_distribution(out.values)
 
     @settings(deadline=None, max_examples=100)
-    @given(LENGTHS.flatmap(lambda n: st.tuples(st.just(n), descriptors(n))))
-    @example(BOUNDARY)
+    @given(MAPPED)
+    @example(_Case((*BOUNDARY, point_distribution(7131, 1))))
+    def test_a_claimed_negator_reverses_the_order(self, case):
+        n, text, dist = case
+        descriptor = parse_descriptor(text, n)
+        assume(descriptor.claims_negator)
+        assert check_negation_pair(dist, apply_transformation(descriptor, dist)).passed
+
+    @settings(deadline=None, max_examples=100)
+    @given(LENGTHS.flatmap(lambda n: st.tuples(st.just(n), descriptors(n))).map(_Case))
+    @example(_Case(BOUNDARY))
     def test_maps_uniform_to_uniform(self, case):
         n, text = case
         out = apply_transformation(parse_descriptor(text, n), uniform_distribution(n))
