@@ -218,12 +218,11 @@ class _GridCheck:
     """One grid check, in the three stages of the sweep that all grid checks share.
 
     A subclass's constructor runs the check's preconditions, which raise its
-    refusals, and its one-off evaluations; once the preconditions hold it
-    calls this constructor, which holds the grid size, the tolerance and the
-    violations found so far.  ``read(block)`` then takes each block of the
-    sweep in order; a check whose ``sweeps`` is false reads none.  ``result()``
-    returns what the check's public function returns, by default a report of
-    its ``violations`` over ``grid_size`` points at ``tolerance``.
+    refusals, and its one-off evaluations, then this constructor, which holds
+    the grid size, the tolerance and the violations found so far.
+    ``read(block)`` takes each block of the sweep in order; a check whose
+    ``sweeps`` is false reads none.  ``result()`` returns what the check's
+    public function returns, by default a report of its ``violations``.
     """
 
     name: str
@@ -251,6 +250,7 @@ def _sweep(descriptor: NegatorDescriptor, n: int, grid_size: int, checks: list[_
         block = _Block(descriptor, n, [k / last for k in range(start, min(start + GRID_BLOCK, grid_size))])
         for check in readers:
             check.read(block)
+        del block  # so that no two blocks' images are held at once
 
 
 def _alone(check_type: type[_GridCheck], descriptor: NegatorDescriptor, n: int, grid_size: int, tolerance: float):
