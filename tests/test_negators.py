@@ -146,13 +146,9 @@ class TestEvaluate:
         strayed = evaluate(descriptor, 0.5, context=Distribution((0.5, 0.5 + 1e-10, -1e-10)))
         assert strayed == evaluate(descriptor, 0.5, context=Distribution((0.5, 0.5 + 1e-10, 0.0)))
 
-    def test_length_required_for_length_dependent_descriptors(self):
-        with pytest.raises(ArgumentError):
-            evaluate(UNIFORM, 0.5)
-
     # A generator claiming pd-independence lacks only the length, and says so as the linear family does.
     @pytest.mark.parametrize("descriptor", [UNIFORM, Generator(lambda p: 1.0 - p, claims_pd_independent=True)])
-    def test_a_claimed_independent_descriptor_without_context_or_length_needs_the_length(self, descriptor):
+    def test_length_required_for_length_dependent_descriptors(self, descriptor):
         with pytest.raises(NegationError) as excinfo:
             evaluate(descriptor, 0.3)
         assert type(excinfo.value) is ArgumentError
