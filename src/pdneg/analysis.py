@@ -23,6 +23,11 @@ tolerance that is not a finite number >= 0, and every comparison against
 the tolerance fails closed: a NaN or infinite image is a violation of
 magnitude math.inf.
 
+The independence probe draws its seeded contexts only for a descriptor whose
+kernel may read them.  The linear family's and the identity's kernels, and a
+mixture of those alone, compute N(p) from p and n, so :func:`audit` evaluates
+N once for them and reports that value as the one in every context.
+
 Both seeded samplers draw each point through one helper, _simplex_point:
 unit exponentials -log(1.0 - random()) read through itertools.islice, as
 random.Random.expovariate(1.0) computes them, scaled to the mass they fill
@@ -44,7 +49,9 @@ from .errors import ArgumentError, ContextMismatch, IndependenceRequired, Length
 from .negators import (
     CONTEXT_TOLERANCE,
     YAGER,
+    Identity,
     Linear,
+    Mixture,
     NegatorDescriptor,
     _coerce_probability,
     _LinearFamily,
@@ -478,9 +485,12 @@ def audit(descriptor: NegatorDescriptor, n: int, grid_size: int = DEFAULT_GRID_S
     The grid checks "fixed-point", "functional-equation", "boundary-range" and
     "linearity" run their preconditions and one-off evaluations in that order,
     then share one sweep of the grid.  The "independence-probe" then evaluates
-    N at PROBE_VALUE in PROBE_CONTEXTS seeded length-n contexts.  A refusal for
-    a claim the descriptor lacks is held as the check's result; any other
-    error is raised.
+    N at PROBE_VALUE in PROBE_CONTEXTS seeded length-n contexts, through
+    :func:`independence_probe`.  A kernel that reads no context (the linear
+    family's, the identity's, and a mixture's of those alone) gives one value
+    in all of them, so for it N is evaluated once, no context is drawn, and the
+    report is the one the contexts would give.  A refusal for a claim the
+    descriptor lacks is held as the check's result; any other error is raised.
     """
     _require_tolerance(tolerance)
     started: dict[str, _GridCheck | IndependenceRequired | NegatorRequired] = {}
@@ -492,9 +502,23 @@ def audit(descriptor: NegatorDescriptor, n: int, grid_size: int = DEFAULT_GRID_S
     checks = [check for check in started.values() if isinstance(check, _GridCheck)]
     _sweep(descriptor, n, grid_size, checks)
     results = {name: check.result() if isinstance(check, _GridCheck) else check for name, check in started.items()}
-    contexts = contexts_containing(PROBE_VALUE, n, PROBE_CONTEXTS, seed)
-    results["independence-probe"] = independence_probe(descriptor, PROBE_VALUE, contexts, tolerance, seed=seed)
+    if _reads_context(descriptor):
+        contexts = contexts_containing(PROBE_VALUE, n, PROBE_CONTEXTS, seed)
+        probe = independence_probe(descriptor, PROBE_VALUE, contexts, tolerance, seed=seed)
+    else:  # each of the contexts would give this one value
+        value = evaluate(descriptor, PROBE_VALUE, n=n)
+        probe = _probe_report(descriptor, [value] * PROBE_CONTEXTS, [n] * PROBE_CONTEXTS, tolerance, seed)
+    results["independence-probe"] = probe
     return Audit(MappingProxyType(results))
+
+
+def _reads_context(descriptor: NegatorDescriptor) -> bool:
+    """Whether the descriptor's kernel may read the context it is given: not
+    the linear family's or the identity's, nor a mixture's of those alone."""
+    kernel = type(descriptor).images
+    if kernel is Mixture.images:
+        return any(_reads_context(inner) for _, inner in descriptor.components)
+    return kernel is not _LinearFamily.images and kernel is not Identity.images
 
 
 def independence_probe(descriptor: NegatorDescriptor, p: float, contexts: Iterable[Distribution],
@@ -506,19 +530,28 @@ def independence_probe(descriptor: NegatorDescriptor, p: float, contexts: Iterab
     formula takes the length n as an input (uniform, Yager, linear and
     mixtures of them) are only compared within equal-length groups, since
     their value legitimately changes with n; the restriction is recorded in
-    the report notes.
+    the report notes.  O(count·n): each context is searched for p and N is
+    evaluated in each.
     """
     _require_tolerance(tolerance)
     contexts = tuple(contexts)
-    groups: dict[int | None, list[int]] = {}
     for index, context in enumerate(contexts):
         if p not in context.values and min(abs(c - p) for c in context.values) > CONTEXT_TOLERANCE:
             raise ContextMismatch(f"context #{index + 1} has no component equal to {p!r}")
-        groups.setdefault(len(context) if descriptor.uses_length else None, []).append(index)
+    results = [evaluate(descriptor, p, context=context) for context in contexts]
+    return _probe_report(descriptor, results, [len(context) for context in contexts], tolerance, seed)
+
+
+def _probe_report(descriptor: NegatorDescriptor, results: list[float], lengths: list[int], tolerance: float,
+                  seed: int | None) -> CheckReport:
+    """The probe's report on N's values in contexts of these lengths: a violation for each
+    pair more than the tolerance apart, within one length if evaluation takes n as an input."""
+    groups: dict[int | None, list[int]] = {}
+    for index, length in enumerate(lengths):
+        groups.setdefault(length if descriptor.uses_length else None, []).append(index)
     notes = []
     if descriptor.uses_length:
         notes.append("contexts compared within equal lengths only: evaluation takes n as an input")
-    results = [evaluate(descriptor, p, context=context) for context in contexts]
     violations = []
     for group in groups.values():
         for i, j in itertools.combinations(group, 2):

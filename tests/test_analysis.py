@@ -3,6 +3,7 @@ boundary ranges, linearity, independence probing, entropy deltas, iteration."""
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
@@ -25,6 +26,7 @@ from pdneg import (
     LengthMismatch,
     Linear,
     LinearityVerdict,
+    Mixture,
     NegationError,
     NegatorDescriptor,
     NegatorRequired,
@@ -784,6 +786,100 @@ class TestIndependenceProbe:
         assert len(contexts) == 6
         assert all(context[0] == 0.5 for context in contexts)
         assert contexts == contexts_containing(0.5, 4, 6, seed=3)
+
+
+class _ContextLength:
+    """A kernel of the descriptor's own, which reads the context's length."""
+
+    def images(self, values, n, context=None):
+        return super().images(values, n if context is None else len(context), context)
+
+
+class _ContextLinear(_ContextLength, Linear):
+    pass
+
+
+class _ContextMixture(_ContextLength, Mixture):
+    pass
+
+
+class TestAuditProbe:
+    """audit evaluates a descriptor whose kernel reads no context once, draws no
+    context for it, and reports the probe it would report on the drawn contexts."""
+
+    # {n1} and {n0} stand for boundary values admitted at the length n.
+    BLIND = ["yager", "uniform", "linear:alpha=0.3", "linear:n1={n1}", "linear:n0={n0}", "identity",
+             "mix:[0.3*linear:alpha=0.2,0.7*yager]", "mix:[0.4*yager,0.6*mix:[0.5*uniform,0.5*linear:n1={n1}]]"]
+    READING = [Tsallis(2.0), ROOT_SUM, Generator(lambda p: (1 - p) ** 2, claims_pd_independent=True),
+               _ContextLinear(0.3), _ContextMixture([(1.0, YAGER)]), mixture([(0.5, YAGER), (0.5, Tsallis(2.0))])]
+
+    @staticmethod
+    def parsed(spec, n):
+        return parse_descriptor(spec.format(n1=repr(0.5 / n), n0=repr((1 / n + 1 / (n - 1)) / 2)), n)
+
+    @staticmethod
+    def drawn(descriptor, n, tolerance=CHECK_TOLERANCE, seed=0):
+        contexts = contexts_containing(analysis.PROBE_VALUE, n, analysis.PROBE_CONTEXTS, seed)
+        return independence_probe(descriptor, analysis.PROBE_VALUE, contexts, tolerance, seed=seed)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 1000])
+    @pytest.mark.parametrize("spec", BLIND)
+    def test_a_blind_kernel_reports_the_probe_on_the_drawn_contexts(self, spec, n):
+        descriptor = self.parsed(spec, n)
+        for seed in (0, 7, 2**31 - 1):
+            for tolerance in (0.0, 1e-12):
+                found = audit(descriptor, n, grid_size=11, tolerance=tolerance, seed=seed)
+                probe, drawn = found.results["independence-probe"], self.drawn(descriptor, n, tolerance, seed)
+                assert probe == drawn
+                assert probe.to_dict() == drawn.to_dict()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_value_is_every_pair_either_way(self, bad, monkeypatch):
+        kernel = _LinearFamily.images
+
+        def spoilt(self, values, n, context=None):
+            return [bad if p == 0.5 else y for p, y in zip(values, kernel(self, values, n, context))]
+
+        monkeypatch.setattr(_LinearFamily, "images", spoilt)
+        probe = audit(YAGER, 5, grid_size=11).results["independence-probe"]
+        assert repr(probe) == repr(self.drawn(YAGER, 5))  # by repr, since NaN != NaN
+        assert len(probe.violations) == math.comb(analysis.PROBE_CONTEXTS, 2) == 28
+        assert all(v.magnitude == math.inf for v in probe.violations)
+
+    @staticmethod
+    def draws(descriptor, monkeypatch):
+        """How many simplex points audit draws for the descriptor at n = 5."""
+        calls = []
+        draw = analysis._simplex_point
+
+        def counted(*args):
+            calls.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(analysis, "_simplex_point", counted)
+        audit(descriptor, 5, grid_size=11)
+        return len(calls)
+
+    @pytest.mark.parametrize("spec", BLIND)
+    def test_a_blind_kernel_draws_no_context(self, spec, monkeypatch):
+        assert self.draws(self.parsed(spec, 5), monkeypatch) == 0
+
+    @pytest.mark.parametrize("descriptor", READING)
+    def test_a_kernel_that_reads_its_context_is_probed_in_every_context(self, descriptor, monkeypatch):
+        assert self.draws(descriptor, monkeypatch) == analysis.PROBE_CONTEXTS
+        assert audit(descriptor, 5, grid_size=11).results["independence-probe"] == self.drawn(descriptor, 5)
+
+    def test_a_blind_kernel_holds_no_context_of_length_n(self):
+        audit(YAGER, 10, grid_size=11)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            audit(YAGER, 10**5, grid_size=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The uniform distribution and its image take 4.6 MiB; eight contexts as well, 27.5 MiB.
+        assert peak <= 8 * 2**20
 
 
 class TestEntropyDelta:

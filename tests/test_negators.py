@@ -3,11 +3,15 @@ and the textual descriptor syntax."""
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
+import json
 import math
 import operator
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -35,6 +39,7 @@ from pdneg import (
     YAGER,
     Yager,
     apply_transformation,
+    entropy,
     evaluate,
     from_generator,
     linear_from_alpha,
@@ -401,6 +406,20 @@ class TestEveryAdmittedDescriptor:
         n, text = case
         out = apply_transformation(parse_descriptor(text, n), uniform_distribution(n))
         assert max(abs(v - 1.0 / n) for v in out.values) <= CHECK_TOLERANCE
+
+    @settings(deadline=None, max_examples=100)
+    @given(MAPPED)
+    @example(_Case((*BOUNDARY, point_distribution(7131, 1))))
+    def test_the_cli_prints_what_the_library_returns(self, case):
+        n, text, dist = case
+        out = io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(" ".join(map(repr, dist.values)) + "\n")), \
+                contextlib.redirect_stdout(out):
+            assert main(["negate", text]) == 0
+        (record,) = json.loads(out.getvalue())["results"]
+        image = apply_transformation(parse_descriptor(text, n), dist)
+        assert record["input"] == list(dist.values) and record["output"] == list(image.values)
+        assert (record["input_entropy"], record["output_entropy"]) == (entropy(dist), entropy(image))
 
 
 class TestMixture:
