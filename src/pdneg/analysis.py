@@ -17,16 +17,17 @@ linear-family kernel is known by its alpha, so for ``yager`` Y(p) is N(p)
 itself, as is the line of a linear negator.  The reads run in builtins
 (bisect, map, min, max, sum): the fixed-point and boundary checks split a
 block at 1/n and go point by point only near 1/n and through a run whose
-bound an image breaks.  Preconditions and one-off evaluations, such as
-N(1/n), N(0) and N(1), run before the sweep.  Every check refuses a
-tolerance that is not a finite number >= 0, and every comparison against
-the tolerance fails closed: a NaN or infinite image is a violation of
-magnitude math.inf.
+bound an image breaks.  A claim a check presumes and the descriptor lacks
+is refused first; then the length, the other preconditions and one-off
+evaluations, such as N(1/n), N(0) and N(1), run before the sweep.  Every
+check refuses a tolerance that is not a finite number >= 0, and every
+comparison against the tolerance fails closed: a NaN or infinite image is a
+violation of magnitude math.inf.
 
-The independence probe draws its seeded contexts only for a descriptor whose
-kernel may read them.  The linear family's and the identity's kernels, and a
-mixture of those alone, compute N(p) from p and n, so :func:`audit` evaluates
-N once for them and reports that value as the one in every context.
+The independence probe reads its contexts one at a time.  :func:`audit` draws
+seeded ones only for a descriptor whose kernel may read them.  The linear
+family's and the identity's kernels, and a mixture of those alone, compute
+N(p) from p and n, so audit probes them in one context that draws nothing.
 
 Both seeded samplers draw each point through one helper, _simplex_point:
 unit exponentials -log(1.0 - random()) read through itertools.islice, as
@@ -44,7 +45,8 @@ import random
 from collections.abc import Iterable, Mapping
 from types import MappingProxyType
 
-from .core import Distribution, EntropyReport, _Frozen, entropy, require_length, uniform_distribution
+from .core import (Distribution, EntropyReport, _checked_distribution, _Frozen, entropy, require_length,
+                   uniform_distribution)
 from .errors import ArgumentError, ContextMismatch, IndependenceRequired, LengthMismatch, NegatorRequired
 from .negators import (
     CONTEXT_TOLERANCE,
@@ -188,12 +190,14 @@ def _require_grid(grid_size: int, least: int = 2) -> None:
         raise ArgumentError(f"grid_size must be at least {least}, got {grid_size}")
 
 
-def _require_claims(descriptor: NegatorDescriptor, n: int, *, negator: bool = False) -> None:
-    if not descriptor.claims_pd_independent:
-        raise IndependenceRequired(f"{descriptor.spec_string()} {IndependenceRequired.refusal}")
-    if negator and not descriptor.claims_negator:
-        raise NegatorRequired(f"{descriptor.spec_string()} {NegatorRequired.refusal}")
-    require_length(n)
+#: The refusal of each claim a check may presume.
+_REFUSALS = {"claims_pd_independent": IndependenceRequired, "claims_negator": NegatorRequired}
+
+
+def _refusal(descriptor: NegatorDescriptor, presumes: Iterable[str]) -> IndependenceRequired | NegatorRequired | None:
+    """The refusal of the first claim in ``presumes`` that the descriptor does not make, or None."""
+    missing = [_REFUSALS[claim] for claim in presumes if not getattr(descriptor, claim)]
+    return missing[0](f"{descriptor.spec_string()} {missing[0].refusal}") if missing else None
 
 
 class _Block:
@@ -224,15 +228,18 @@ class _Block:
 class _GridCheck:
     """One grid check, in the three stages of the sweep that all grid checks share.
 
-    A subclass's constructor runs the check's preconditions, which raise its
-    refusals, and its one-off evaluations, then this constructor, which holds
-    the grid size, the tolerance and the violations found so far.
-    ``read(block)`` takes each block of the sweep in order; a check whose
-    ``sweeps`` is false reads none.  ``result()`` returns what the check's
-    public function returns, by default a report of its ``violations``.
+    ``presumes`` names the claims the check is defined for, in the order
+    :func:`_refusal` refuses them.  For a descriptor that makes them all, a
+    subclass's constructor runs the check's other preconditions and its one-off
+    evaluations, then this constructor, which holds the grid size, the
+    tolerance and the violations found so far.  ``read(block)`` takes each
+    block of the sweep in order; a check whose ``sweeps`` is false reads none.
+    ``result()`` returns what the check's public function returns, by default
+    a report of its ``violations``.
     """
 
     name: str
+    presumes: tuple[str, ...] = ()
     sweeps = True
     notes: list[str] | tuple[str, ...] = ()
 
@@ -262,6 +269,9 @@ def _sweep(descriptor: NegatorDescriptor, n: int, grid_size: int, checks: list[_
 
 def _alone(check_type: type[_GridCheck], descriptor: NegatorDescriptor, n: int, grid_size: int, tolerance: float):
     _require_tolerance(tolerance)
+    if refusal := _refusal(descriptor, check_type.presumes):
+        raise refusal
+    require_length(n)
     check = check_type(descriptor, n, grid_size, tolerance)
     _sweep(descriptor, n, grid_size, [check])
     return check.result()
@@ -336,16 +346,18 @@ def functional_equation_residual(descriptor: NegatorDescriptor, n: int, p: float
     returned value is |N(Y(p)) - Y(N(p))|, zero in exact arithmetic.
     """
     ps = [_coerce_probability(p)]
-    _require_claims(descriptor, n)
+    if refusal := _refusal(descriptor, _FunctionalEquation.presumes):
+        raise refusal
+    require_length(n)
     return _Block(descriptor, n, ps).balance()[0]
 
 
 class _FunctionalEquation(_GridCheck):
     name = "functional-equation"
+    presumes = ("claims_pd_independent",)
 
     def __init__(self, descriptor, n, grid_size, tolerance):
         _require_grid(grid_size)
-        _require_claims(descriptor, n)
         super().__init__(grid_size, tolerance)
 
     def read(self, block):
@@ -371,9 +383,9 @@ def _interval_violation(location, value, low, high, tolerance):
 
 class _BoundaryRange(_GridCheck):
     name = "boundary-range"
+    presumes = ("claims_pd_independent", "claims_negator")
 
     def __init__(self, descriptor, n, grid_size, tolerance):
-        _require_claims(descriptor, n, negator=True)
         _require_grid(grid_size)
         super().__init__(grid_size, tolerance)
         self.u, self.high = 1.0 / n, 1.0 / (n - 1)
@@ -418,9 +430,9 @@ def boundary_range_check(descriptor: NegatorDescriptor, n: int, grid_size: int =
 
 class _Linearity(_GridCheck):
     name = "linearity"
+    presumes = ("claims_pd_independent", "claims_negator")
 
     def __init__(self, descriptor, n, grid_size, tolerance):
-        _require_claims(descriptor, n, negator=True)
         _require_grid(grid_size, 3)
         super().__init__(grid_size, tolerance)
         raw = n * descriptor.images([1.0], n)[0]
@@ -484,31 +496,24 @@ def audit(descriptor: NegatorDescriptor, n: int, grid_size: int = DEFAULT_GRID_S
 
     The grid checks "fixed-point", "functional-equation", "boundary-range" and
     "linearity" run their preconditions and one-off evaluations in that order,
-    then share one sweep of the grid.  The "independence-probe" then evaluates
-    N at PROBE_VALUE in PROBE_CONTEXTS seeded length-n contexts, through
-    :func:`independence_probe`.  A kernel that reads no context (the linear
-    family's, the identity's, and a mixture's of those alone) gives one value
-    in all of them, so for it N is evaluated once, no context is drawn, and the
-    report is the one the contexts would give.  A refusal for a claim the
-    descriptor lacks is held as the check's result; any other error is raised.
+    then share one sweep; a check presuming a claim the descriptor lacks has
+    that refusal as its result, and any other error is raised.  The
+    "independence-probe" then evaluates N at PROBE_VALUE in PROBE_CONTEXTS
+    length-n contexts, read one at a time: for a kernel that may read them,
+    those of :func:`contexts_containing`, drawn one by one; for any other (the
+    linear family's, the identity's, and a mixture's of those alone), one
+    context (PROBE_VALUE, 1 - PROBE_VALUE, 0, ..., 0), on the simplex as
+    built and so unchecked: it draws nothing and gives the drawn ones' report.
     """
     _require_tolerance(tolerance)
-    started: dict[str, _GridCheck | IndependenceRequired | NegatorRequired] = {}
-    for check_type in _GRID_CHECKS:
-        try:
-            started[check_type.name] = check_type(descriptor, n, grid_size, tolerance)
-        except (IndependenceRequired, NegatorRequired) as exc:  # the descriptor lacks a claim the check presumes
-            started[check_type.name] = exc
-    checks = [check for check in started.values() if isinstance(check, _GridCheck)]
-    _sweep(descriptor, n, grid_size, checks)
+    require_length(n)
+    started = {check.name: _refusal(descriptor, check.presumes) or check(descriptor, n, grid_size, tolerance)
+               for check in _GRID_CHECKS}
+    _sweep(descriptor, n, grid_size, [check for check in started.values() if isinstance(check, _GridCheck)])
     results = {name: check.result() if isinstance(check, _GridCheck) else check for name, check in started.items()}
-    if _reads_context(descriptor):
-        contexts = contexts_containing(PROBE_VALUE, n, PROBE_CONTEXTS, seed)
-        probe = independence_probe(descriptor, PROBE_VALUE, contexts, tolerance, seed=seed)
-    else:  # each of the contexts would give this one value
-        value = evaluate(descriptor, PROBE_VALUE, n=n)
-        probe = _probe_report(descriptor, [value] * PROBE_CONTEXTS, [n] * PROBE_CONTEXTS, tolerance, seed)
-    results["independence-probe"] = probe
+    contexts = (_drawn_contexts(PROBE_VALUE, n, PROBE_CONTEXTS, seed) if _reads_context(descriptor) else
+                (_checked_distribution((PROBE_VALUE, 1 - PROBE_VALUE) + (0.0,) * (n - 2)),) * PROBE_CONTEXTS)
+    results["independence-probe"] = independence_probe(descriptor, PROBE_VALUE, contexts, tolerance, seed=seed)
     return Audit(MappingProxyType(results))
 
 
@@ -530,34 +535,25 @@ def independence_probe(descriptor: NegatorDescriptor, p: float, contexts: Iterab
     formula takes the length n as an input (uniform, Yager, linear and
     mixtures of them) are only compared within equal-length groups, since
     their value legitimately changes with n; the restriction is recorded in
-    the report notes.  O(count·n): each context is searched for p and N is
-    evaluated in each.
+    the report notes.  O(count·n): each context in turn is searched for p, N
+    is evaluated in it, and it is dropped, so a stream of contexts is held one
+    at a time, and an error evaluating N in one context is raised before a
+    :class:`ContextMismatch` in a later one.
     """
     _require_tolerance(tolerance)
-    contexts = tuple(contexts)
+    values, groups = [], {}
     for index, context in enumerate(contexts):
         if p not in context.values and min(abs(c - p) for c in context.values) > CONTEXT_TOLERANCE:
             raise ContextMismatch(f"context #{index + 1} has no component equal to {p!r}")
-    results = [evaluate(descriptor, p, context=context) for context in contexts]
-    return _probe_report(descriptor, results, [len(context) for context in contexts], tolerance, seed)
-
-
-def _probe_report(descriptor: NegatorDescriptor, results: list[float], lengths: list[int], tolerance: float,
-                  seed: int | None) -> CheckReport:
-    """The probe's report on N's values in contexts of these lengths: a violation for each
-    pair more than the tolerance apart, within one length if evaluation takes n as an input."""
-    groups: dict[int | None, list[int]] = {}
-    for index, length in enumerate(lengths):
-        groups.setdefault(length if descriptor.uses_length else None, []).append(index)
+        values.append(evaluate(descriptor, p, context=context))
+        groups.setdefault(len(context) if descriptor.uses_length else None, []).append(index)
+        del context  # so that the next context is not drawn while this one is held
     notes = []
     if descriptor.uses_length:
         notes.append("contexts compared within equal lengths only: evaluation takes n as an input")
-    violations = []
-    for group in groups.values():
-        for i, j in itertools.combinations(group, 2):
-            gap = abs(results[i] - results[j])
-            if not gap <= tolerance:
-                violations.append(Violation((i + 1, j + 1), expected=results[i], actual=results[j], magnitude=gap))
+    gaps = {(i, j): abs(values[i] - values[j]) for ids in groups.values() for i, j in itertools.combinations(ids, 2)}
+    violations = [Violation((i + 1, j + 1), expected=values[i], actual=values[j], magnitude=gap)
+                  for (i, j), gap in gaps.items() if not gap <= tolerance]
     return CheckReport("independence-probe", violations, 0, tolerance, seed=seed, notes=notes)
 
 
@@ -622,8 +618,13 @@ def contexts_containing(p: float, n: int, count: int, seed: int) -> tuple[Distri
     require_length(n)
     if not 0.0 <= p < 1.0:
         raise ArgumentError(f"need 0 <= p < 1 to fill the remaining mass, got {p!r}")
+    return tuple(_drawn_contexts(p, n, count, seed))
+
+
+def _drawn_contexts(p: float, n: int, count: int, seed: int) -> Iterable[Distribution]:
+    """The contexts of :func:`contexts_containing`, drawn one at a time."""
     rng = random.Random(seed)
-    return tuple(Distribution([p] + _simplex_point(rng, n - 1, 1.0 - p)) for _ in range(count))
+    return (Distribution([p] + _simplex_point(rng, n - 1, 1.0 - p)) for _ in range(count))
 
 
 def _simplex_point(rng: random.Random, size: int, mass: float) -> list[float]:

@@ -399,14 +399,13 @@ def cmd_check(args) -> int:
         raise ArgumentError(f"--tol must be a finite number >= 0, got {args.tol}")
     descriptor = parse_descriptor(args.negator, n=args.n)
     found = audit(descriptor, args.n, args.grid, args.tol, args.seed)
-    verdict = found.results["linearity"]
-    if isinstance(verdict, NegationError):
-        verdict = None
+    results = dict(found.results)
+    verdict = None if isinstance(results["linearity"], NegationError) else results.pop("linearity")
     entries = (
         # A refusal is a claim the check presumes missing; the linearity verdict has a field of its own.
         {"skipped": True, "check_name": name, "reason": f"descriptor {result.refusal}"}
         if isinstance(result, NegationError) else {"skipped": False, **result.to_dict()}
-        for name, result in found.results.items() if result is not verdict
+        for name, result in results.items()
     )
     payload = {
         "command": "check",

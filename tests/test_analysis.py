@@ -296,6 +296,15 @@ class TestPointwiseCheckPreconditions:
         with pytest.raises(refusal):
             check(descriptor, 1, grid_size=2)
 
+    # The balance check refuses the claim, then the length, then the grid, in the order of the two above.
+    @pytest.mark.parametrize(
+        "descriptor,n,refusal",
+        [(Tsallis(2.0), 1, IndependenceRequired), (YAGER, 1, LengthError), (YAGER, 5, ArgumentError)],
+    )
+    def test_balance_identity_check_refuses_the_claim_then_the_length_then_the_grid(self, descriptor, n, refusal):
+        with pytest.raises(refusal):
+            functional_equation_check(descriptor, n, grid_size=1)
+
     @pytest.mark.parametrize("descriptor,refusal", [(Tsallis(2.0), IndependenceRequired), (IDENTITY, LengthError)])
     def test_balance_identity_refuses_dependence_before_the_length(self, descriptor, refusal):
         with pytest.raises(refusal):
@@ -775,6 +784,17 @@ class TestIndependenceProbe:
         with pytest.raises(ContextMismatch):
             independence_probe(Tsallis(2.0), 0.4, [Distribution((0.5, 0.5))])
 
+    def test_contexts_are_read_one_at_a_time(self):
+        # Context #1 holds p but N cannot be evaluated there; context #2 lacks p.  The evaluation
+        # error is raised first, since #2 is not read before N is evaluated in #1.
+        negative = Generator(lambda p: -p, "negative")
+        contexts = iter([Distribution((0.5, 0.5)), Distribution((0.3, 0.7))])
+        with pytest.raises(GeneratorError):
+            independence_probe(negative, 0.5, contexts)
+        assert next(contexts) == Distribution((0.3, 0.7))
+        with pytest.raises(ContextMismatch, match="^context #2 has no component equal to 0.5$"):
+            independence_probe(Tsallis(2.0), 0.5, [Distribution((0.5, 0.5)), Distribution((0.3, 0.7))])
+
     @pytest.mark.parametrize("offset", [0.0, 5e-13, -5e-13])
     def test_a_value_within_the_context_tolerance_is_a_component(self, offset):
         assert independence_probe(YAGER, 0.5 + offset, [Distribution((0.5, 0.5)), Distribution((0.5, 0.5))]).passed
@@ -869,17 +889,26 @@ class TestAuditProbe:
         assert self.draws(descriptor, monkeypatch) == analysis.PROBE_CONTEXTS
         assert audit(descriptor, 5, grid_size=11).results["independence-probe"] == self.drawn(descriptor, 5)
 
-    def test_a_blind_kernel_holds_no_context_of_length_n(self):
-        audit(YAGER, 10, grid_size=11)
+    @staticmethod
+    def peak(descriptor):
+        """tracemalloc's peak over audit(descriptor, 10**5, 11), after one warm-up at n = 10."""
+        audit(descriptor, 10, grid_size=11)
         gc.collect()
         tracemalloc.start()
         try:
-            audit(YAGER, 10**5, grid_size=11)
-            peak = tracemalloc.get_traced_memory()[1]
+            audit(descriptor, 10**5, grid_size=11)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The uniform distribution and its image take 4.6 MiB; eight contexts as well, 27.5 MiB.
-        assert peak <= 8 * 2**20
+
+    def test_a_blind_kernel_holds_no_drawn_context(self):
+        # The uniform distribution and its image take 4.6 MiB, freed before the probe builds its one undrawn
+        # context (0.8 MiB); eight drawn contexts as well, 27.5 MiB.
+        assert self.peak(YAGER) <= 8 * 2**20
+
+    def test_a_kernel_that_reads_its_context_holds_one_drawn_context_at_a_time(self):
+        # One context, its draws and Tsallis's evaluation in it take 9.2 MiB; eight contexts at once, 27.5 MiB.
+        assert self.peak(Tsallis(2.0)) <= 12 * 2**20
 
 
 class TestEntropyDelta:
