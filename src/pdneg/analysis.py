@@ -24,10 +24,11 @@ check refuses a tolerance that is not a finite number >= 0, and every
 comparison against the tolerance fails closed: a NaN or infinite image is a
 violation of magnitude math.inf.
 
-The independence probe reads its contexts one at a time.  :func:`audit` draws
-seeded ones only for a descriptor whose kernel may read them.  The linear
-family's and the identity's kernels, and a mixture of those alone, compute
-N(p) from p and n, so audit probes them in one context that draws nothing.
+The linear family's and the identity's kernels, and a mixture of those
+alone, compute N(p) from p and n and read no context.  For them the fixed
+point checks N(uniform) from the one value N(1/n), and the independence
+probe, which reads its contexts one at a time, gets one context that draws
+nothing; :func:`audit` draws seeded ones only for a kernel that may read them.
 
 Both seeded samplers draw each point through one helper, _simplex_point:
 unit exponentials -log(1.0 - random()) read through itertools.islice, as
@@ -45,8 +46,8 @@ import random
 from collections.abc import Iterable, Mapping
 from types import MappingProxyType
 
-from .core import (Distribution, EntropyReport, _checked_distribution, _Frozen, entropy, require_length,
-                   uniform_distribution)
+from .core import (DEFAULT_TOLERANCE, Distribution, EntropyReport, _checked_distribution, _Frozen, entropy,
+                   require_length, uniform_distribution)
 from .errors import ArgumentError, ContextMismatch, IndependenceRequired, LengthMismatch, NegatorRequired
 from .negators import (
     CONTEXT_TOLERANCE,
@@ -278,18 +279,32 @@ def _alone(check_type: type[_GridCheck], descriptor: NegatorDescriptor, n: int, 
 
 
 class _FixedPoint(_GridCheck):
+    """A kernel that reads no context maps every component of the uniform
+    distribution to one value v = N(1/n).  n copies of v pass _check_simplex
+    exactly when v lies in [-tol, 1 + tol] and |n v - 1| <= tol (tol is
+    DEFAULT_TOLERANCE), since n * v rounds as the fsum of n copies does and a
+    NaN fails both; so v is checked once, and each component is a violation
+    only if v is one.  A v that fails, and any kernel that reads its context,
+    take apply_transformation's path, which raises InternalConsistencyError."""
+
     name = "fixed-point"
 
     def __init__(self, descriptor, n, grid_size, tolerance):
-        image = apply_transformation(descriptor, uniform_distribution(n))
         super().__init__(grid_size, tolerance)
         self.u = u = 1.0 / n
-        self.violations.extend(Violation(index + 1, expected=u, actual=value, magnitude=abs(value - u))
-                               for index, value in enumerate(image.values) if abs(value - u) > tolerance)
+        slack = DEFAULT_TOLERANCE
+        at_u = None if _reads_context(descriptor) else descriptor.images((u,), n)[0]
+        if at_u is not None and -slack <= at_u <= 1.0 + slack and abs(n * at_u - 1.0) <= slack:
+            image = itertools.repeat(at_u, n if abs(at_u - u) > tolerance else 0)
+        else:
+            image = apply_transformation(descriptor, uniform_distribution(n)).values
+        self.violations.extend(Violation(index, expected=u, actual=value, magnitude=abs(value - u))
+                               for index, value in enumerate(image, 1) if abs(value - u) > tolerance)
         self.notes = []
         self.sweeps = descriptor.claims_pd_independent and descriptor.claims_negator
         if descriptor.claims_pd_independent:
-            at_u = evaluate(descriptor, u, n=n)
+            if at_u is None:
+                at_u = evaluate(descriptor, u, n=n)
             if not abs(at_u - u) <= tolerance:
                 self.violations.append(Violation(u, expected=u, actual=at_u, magnitude=abs(at_u - u)))
             if descriptor.claims_negator:
@@ -497,13 +512,16 @@ def audit(descriptor: NegatorDescriptor, n: int, grid_size: int = DEFAULT_GRID_S
     The grid checks "fixed-point", "functional-equation", "boundary-range" and
     "linearity" run their preconditions and one-off evaluations in that order,
     then share one sweep; a check presuming a claim the descriptor lacks has
-    that refusal as its result, and any other error is raised.  The
+    that refusal as its result, and any other error is raised.  For a kernel
+    that reads no context, "fixed-point" maps no length-n distribution: it
+    checks N(uniform) from N(1/n) alone, as :class:`_FixedPoint` says.  The
     "independence-probe" then evaluates N at PROBE_VALUE in PROBE_CONTEXTS
     length-n contexts, read one at a time: for a kernel that may read them,
     those of :func:`contexts_containing`, drawn one by one; for any other (the
     linear family's, the identity's, and a mixture's of those alone), one
     context (PROBE_VALUE, 1 - PROBE_VALUE, 0, ..., 0), on the simplex as
     built and so unchecked: it draws nothing and gives the drawn ones' report.
+    That context is then the one length-n tuple audit holds.
     """
     _require_tolerance(tolerance)
     require_length(n)
@@ -511,8 +529,11 @@ def audit(descriptor: NegatorDescriptor, n: int, grid_size: int = DEFAULT_GRID_S
                for check in _GRID_CHECKS}
     _sweep(descriptor, n, grid_size, [check for check in started.values() if isinstance(check, _GridCheck)])
     results = {name: check.result() if isinstance(check, _GridCheck) else check for name, check in started.items()}
-    contexts = (_drawn_contexts(PROBE_VALUE, n, PROBE_CONTEXTS, seed) if _reads_context(descriptor) else
-                (_checked_distribution((PROBE_VALUE, 1 - PROBE_VALUE) + (0.0,) * (n - 2)),) * PROBE_CONTEXTS)
+    if _reads_context(descriptor):
+        contexts = _drawn_contexts(PROBE_VALUE, n, PROBE_CONTEXTS, seed)
+    else:  # built with no second length-n tuple
+        blind = tuple(itertools.chain((PROBE_VALUE, 1 - PROBE_VALUE), itertools.repeat(0.0, n - 2)))
+        contexts = (_checked_distribution(blind),) * PROBE_CONTEXTS
     results["independence-probe"] = independence_probe(descriptor, PROBE_VALUE, contexts, tolerance, seed=seed)
     return Audit(MappingProxyType(results))
 

@@ -22,6 +22,7 @@ from pdneg import (
     GeneratorError,
     IDENTITY,
     IndependenceRequired,
+    InternalConsistencyError,
     LengthError,
     LengthMismatch,
     Linear,
@@ -174,17 +175,61 @@ class TestFixedPoint:
         locations = {violation.location for violation in report.violations}
         assert 0.0 in locations and 1.0 in locations
 
-    def test_zero_tolerance_reports_the_rounding_of_one_third(self):
-        # Yager's kernel at n = 3 maps 1/3 to (1 - 1/3)/2, one rounding (5.55e-17)
-        # above 1/3: part (a) reports each component of N(U), part (b) N(1/3).
-        # The default grid holds no 1/3, so the uniqueness sweep adds nothing.
-        u = 1.0 / 3
-        image = 0.0 / 3 + (1.0 - 0.0) * (1.0 - u) / (3 - 1)
-        report = fixed_point_check(YAGER, 3, tolerance=0.0)
+    @pytest.mark.parametrize("descriptor, n", [(YAGER, 3), (Linear(0.3), 4)])
+    def test_zero_tolerance_reports_the_rounding_of_one_over_n(self, descriptor, n):
+        # Yager's kernel at n = 3 maps 1/3 to (1 - 1/3)/2, one rounding (5.55e-17) above
+        # 1/3, and linear:alpha=0.3 at n = 4 maps 1/4 one rounding below it: part (a)
+        # reports each component of N(U), part (b) N(1/n).  The sweep adds nothing:
+        # the default grid holds no 1/3, and at 1/4 the image lies on neither wrong side.
+        u, alpha = 1.0 / n, descriptor.alpha
+        image = alpha / n + (1.0 - alpha) * (1.0 - u) / (n - 1)
+        report = fixed_point_check(descriptor, n, tolerance=0.0)
         assert [(v.location, v.expected, v.actual, v.magnitude) for v in report.violations] == [
-            (location, u, image, abs(image - u)) for location in (1, 2, 3, u)
+            (location, u, image, abs(image - u)) for location in (*range(1, n + 1), u)
         ]
         assert abs(image - u) == pytest.approx(5.55e-17, rel=1e-3)
+
+
+class _NaNAlpha(_LinearFamily):
+    """A linear-family kernel whose alpha is NaN, so N(1/n) is NaN and N(uniform) leaves the simplex."""
+
+    alpha = math.nan
+
+
+class TestFixedPointOfABlindKernel:
+    """A kernel that reads no context has N(1/n) in every component of N(uniform),
+    so the fixed point checks that one value; its report is the one that the image
+    of the uniform distribution, mapped component by component, gives."""
+
+    BLIND = ["yager", "uniform", "identity", "linear:alpha=0.3", "mix:[0.3*linear:alpha=0.2,0.7*yager]"]
+
+    @staticmethod
+    def per_component(descriptor, n, tolerance):
+        u = 1.0 / n
+        image = apply_transformation(descriptor, uniform_distribution(n)).values
+        return [Violation(index, expected=u, actual=value, magnitude=abs(value - u))
+                for index, value in enumerate(image, 1) if abs(value - u) > tolerance]
+
+    @pytest.mark.parametrize("tolerance", [0.0, CHECK_TOLERANCE])
+    @pytest.mark.parametrize("n", [3, 4, 5, 1000])
+    @pytest.mark.parametrize("spec", BLIND)
+    def test_the_one_value_gives_the_per_component_report(self, spec, n, tolerance, monkeypatch):
+        descriptor = parse_descriptor(spec)
+        report = audit(descriptor, n, grid_size=11, tolerance=tolerance).results["fixed-point"]
+        expected = self.per_component(descriptor, n, tolerance)
+        assert [v for v in report.violations if isinstance(v.location, int)] == expected
+        # A kernel taken to read its context maps the whole uniform distribution: the same report.
+        monkeypatch.setattr(analysis, "_reads_context", lambda descriptor: True)
+        assert audit(descriptor, n, grid_size=11, tolerance=tolerance).results["fixed-point"] == report
+
+    @pytest.mark.parametrize("descriptor", [_NaNAlpha(), mixture([(0.5, YAGER), (0.5, _NaNAlpha())])])
+    def test_a_nan_n_of_one_over_n_raises_what_the_full_path_raises(self, descriptor):
+        with pytest.raises(InternalConsistencyError) as full:
+            apply_transformation(descriptor, uniform_distribution(5))
+        for check in (lambda: fixed_point_check(descriptor, 5, grid_size=11), lambda: audit(descriptor, 5, 11)):
+            with pytest.raises(InternalConsistencyError) as found:
+                check()
+            assert str(found.value) == str(full.value)
 
 
 class TestFunctionalEquation:
@@ -902,9 +947,9 @@ class TestAuditProbe:
             tracemalloc.stop()
 
     def test_a_blind_kernel_holds_no_drawn_context(self):
-        # The uniform distribution and its image take 4.6 MiB, freed before the probe builds its one undrawn
-        # context (0.8 MiB); eight drawn contexts as well, 27.5 MiB.
-        assert self.peak(YAGER) <= 8 * 2**20
+        # The fixed point reads N(1/n) alone, so the peak is the probe's one undrawn context (0.8 MiB), built
+        # with no second length-n tuple; eight drawn contexts as well take 27.5 MiB.
+        assert self.peak(YAGER) <= 1 * 2**20
 
     def test_a_kernel_that_reads_its_context_holds_one_drawn_context_at_a_time(self):
         # One context, its draws and Tsallis's evaluation in it take 9.2 MiB; eight contexts at once, 27.5 MiB.
