@@ -93,14 +93,15 @@ class Violation(_Report):
     """One point at which a checked property fails.
 
     ``location`` is a grid probability, a 1-based component index, or a
-    1-based index pair, depending on the check.  ``magnitude`` is how far
-    ``actual`` lies from ``expected``; a NaN distance, as from a NaN image,
-    is stored as math.inf.
+    1-based index pair, depending on the check.  ``magnitude`` is computed,
+    not given: |actual - expected|, how far ``actual`` lies from
+    ``expected``; a NaN distance, as from a NaN image, is stored as math.inf.
     """
 
     FIELDS = ("location", "expected", "actual", "magnitude")
 
-    def __init__(self, location: object, expected: float, actual: float, magnitude: float) -> None:
+    def __init__(self, location: object, expected: float, actual: float) -> None:
+        magnitude = abs(actual - expected)
         if magnitude != magnitude:
             magnitude = math.inf
         self.__dict__.update(location=location, expected=expected, actual=actual, magnitude=magnitude)
@@ -142,13 +143,15 @@ class LinearityVerdict(_Report):
 
 
 class IterationTrace(_Frozen):
-    """Distributions under repeated negation, with per-step diagnostics."""
+    """Distributions under repeated negation, with per-step diagnostics computed
+    from the steps, not given: each one's :func:`distance_to_uniform` and :func:`entropy`."""
 
     FIELDS = ("steps", "distances_to_uniform", "entropies")
 
-    def __init__(self, steps: tuple[Distribution, ...], distances_to_uniform: tuple[float, ...],
-                 entropies: tuple[float, ...]) -> None:
-        self.__dict__.update(steps=steps, distances_to_uniform=distances_to_uniform, entropies=entropies)
+    def __init__(self, steps: Iterable[Distribution]) -> None:
+        steps = tuple(steps)
+        self.__dict__.update(steps=steps, distances_to_uniform=tuple(map(distance_to_uniform, steps)),
+                             entropies=tuple(map(entropy, steps)))
 
 
 def check_negation_pair(p_dist: Distribution, q_dist: Distribution, tolerance: float = CHECK_TOLERANCE) -> CheckReport:
@@ -174,7 +177,7 @@ def check_negation_pair(p_dist: Distribution, q_dist: Distribution, tolerance: f
         elif q_i < top - tolerance:
             failing.append(i)
     violations = [
-        Violation((i + 1, j + 1), expected=q[j], actual=q[i], magnitude=q[j] - q[i])
+        Violation((i + 1, j + 1), expected=q[j], actual=q[i])
         for i in sorted(failing) for j in range(len(p))
         if i != j and p[i] <= p[j] and q[i] < q[j] - tolerance
     ]
@@ -298,7 +301,7 @@ class _FixedPoint(_GridCheck):
             image = itertools.repeat(at_u, n if abs(at_u - u) > tolerance else 0)
         else:
             image = apply_transformation(descriptor, uniform_distribution(n)).values
-        self.violations.extend(Violation(index, expected=u, actual=value, magnitude=abs(value - u))
+        self.violations.extend(Violation(index, expected=u, actual=value)
                                for index, value in enumerate(image, 1) if abs(value - u) > tolerance)
         self.notes = []
         self.sweeps = descriptor.claims_pd_independent and descriptor.claims_negator
@@ -306,7 +309,7 @@ class _FixedPoint(_GridCheck):
             if at_u is None:
                 at_u = evaluate(descriptor, u, n=n)
             if not abs(at_u - u) <= tolerance:
-                self.violations.append(Violation(u, expected=u, actual=at_u, magnitude=abs(at_u - u)))
+                self.violations.append(Violation(u, expected=u, actual=at_u))
             if descriptor.claims_negator:
                 _require_grid(grid_size)
             else:
@@ -332,10 +335,10 @@ class _FixedPoint(_GridCheck):
             gap = abs(value - p)
             if gap <= tolerance:
                 if abs(p - u) > tolerance:
-                    violations.append(Violation(p, expected=u, actual=p, magnitude=abs(p - u)))
+                    violations.append(Violation(p, expected=u, actual=p))
             # A non-finite image, or one on the wrong side of p away from 1/n.
             elif not gap < inf or (value < p if p < below else value > p and p > above):
-                violations.append(Violation(p, expected=p, actual=value, magnitude=gap))
+                violations.append(Violation(p, expected=p, actual=value))
 
 
 def fixed_point_check(descriptor: NegatorDescriptor, n: int, grid_size: int = DEFAULT_GRID_SIZE,
@@ -379,7 +382,7 @@ class _FunctionalEquation(_GridCheck):
         tolerance, residuals = self.tolerance, block.balance()
         # max skips a NaN that is not its first argument; a NaN residual makes the sum NaN.
         if max(residuals) > tolerance or math.isnan(sum(residuals)):
-            self.violations.extend(Violation(p, expected=0.0, actual=residual, magnitude=residual)
+            self.violations.extend(Violation(p, expected=0.0, actual=residual)
                                    for p, residual in zip(block.points, residuals) if not residual <= tolerance)
 
 
@@ -391,9 +394,7 @@ def functional_equation_check(descriptor: NegatorDescriptor, n: int, grid_size: 
 
 def _interval_violation(location, value, low, high, tolerance):
     """The violation of a value outside [low - tolerance, high + tolerance]; a NaN is held against high."""
-    if value < low - tolerance:
-        return Violation(location, expected=low, actual=value, magnitude=low - value)
-    return Violation(location, expected=high, actual=value, magnitude=value - high)
+    return Violation(location, expected=low if value < low - tolerance else high, actual=value)
 
 
 class _BoundaryRange(_GridCheck):
@@ -407,7 +408,7 @@ class _BoundaryRange(_GridCheck):
         at_zero, at_one = descriptor.images([0.0, 1.0], n)
         tied = (1.0 - at_one) / (n - 1)
         if not abs(at_zero - tied) <= tolerance:
-            self.violations.append(Violation(0.0, expected=tied, actual=at_zero, magnitude=abs(at_zero - tied)))
+            self.violations.append(Violation(0.0, expected=tied, actual=at_zero))
 
     def read(self, block):
         points, u, tolerance = block.points, self.u, self.tolerance
@@ -572,17 +573,16 @@ def independence_probe(descriptor: NegatorDescriptor, p: float, contexts: Iterab
     notes = []
     if descriptor.uses_length:
         notes.append("contexts compared within equal lengths only: evaluation takes n as an input")
-    gaps = {(i, j): abs(values[i] - values[j]) for ids in groups.values() for i, j in itertools.combinations(ids, 2)}
-    violations = [Violation((i + 1, j + 1), expected=values[i], actual=values[j], magnitude=gap)
-                  for (i, j), gap in gaps.items() if not gap <= tolerance]
+    violations = [Violation((i + 1, j + 1), expected=values[i], actual=values[j])
+                  for ids in groups.values() for i, j in itertools.combinations(ids, 2)
+                  if not abs(values[i] - values[j]) <= tolerance]
     return CheckReport("independence-probe", violations, 0, tolerance, seed=seed, notes=notes)
 
 
 def entropy_delta(descriptor: NegatorDescriptor, dist: Distribution) -> EntropyReport:
-    """Entropy of a distribution and of its image under a descriptor."""
-    before = entropy(dist)
-    after = entropy(apply_transformation(descriptor, dist))
-    return EntropyReport(input_entropy=before, output_entropy=after, delta=after - before)
+    """Entropy of a distribution and of its image under a descriptor; the
+    report computes ``delta``, the image's entropy less the input's."""
+    return EntropyReport(entropy(dist), entropy(apply_transformation(descriptor, dist)))
 
 
 def distance_to_uniform(dist: Distribution) -> float:
@@ -607,16 +607,13 @@ def require_iteration(descriptor: NegatorDescriptor, n: int, steps: int) -> None
 
 
 def iterate_negation(descriptor: NegatorDescriptor, dist: Distribution, steps: int) -> IterationTrace:
-    """Trace of repeated negation, starting from the input distribution."""
+    """Trace of repeated negation, starting from the input distribution; the
+    trace computes each step's distance to uniform and entropy."""
     require_iteration(descriptor, len(dist), steps)
     trace = [dist]
     for _ in range(steps):
         trace.append(apply_transformation(descriptor, trace[-1]))
-    return IterationTrace(
-        steps=tuple(trace),
-        distances_to_uniform=tuple(distance_to_uniform(d) for d in trace),
-        entropies=tuple(entropy(d) for d in trace),
-    )
+    return IterationTrace(trace)
 
 
 def sample_distributions(n: int, count: int, seed: int) -> tuple[Distribution, ...]:

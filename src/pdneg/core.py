@@ -121,12 +121,14 @@ def _checked_distribution(values: tuple[float, ...]) -> Distribution:
 
 
 class EntropyReport(_Frozen):
-    """Entropy of a distribution and of its image under a transformation."""
+    """Entropy of a distribution and of its image under a transformation;
+    ``delta`` is computed, not given: output_entropy - input_entropy."""
 
     FIELDS = ("input_entropy", "output_entropy", "delta")
 
-    def __init__(self, input_entropy: float, output_entropy: float, delta: float) -> None:
-        self.__dict__.update(input_entropy=input_entropy, output_entropy=output_entropy, delta=delta)
+    def __init__(self, input_entropy: float, output_entropy: float) -> None:
+        self.__dict__.update(input_entropy=input_entropy, output_entropy=output_entropy,
+                             delta=output_entropy - input_entropy)
 
 
 def validate_distribution(values: Iterable[float], tolerance: float = DEFAULT_TOLERANCE) -> Distribution:

@@ -18,11 +18,13 @@ from pdneg import (
     CheckReport,
     ContextMismatch,
     Distribution,
+    EntropyReport,
     Generator,
     GeneratorError,
     IDENTITY,
     IndependenceRequired,
     InternalConsistencyError,
+    IterationTrace,
     LengthError,
     LengthMismatch,
     Linear,
@@ -42,6 +44,8 @@ from pdneg import (
     boundary_range_check,
     check_negation_pair,
     contexts_containing,
+    distance_to_uniform,
+    entropy,
     entropy_delta,
     evaluate,
     fixed_point_check,
@@ -67,7 +71,7 @@ EXAMPLE = validate_distribution(EXAMPLE_PD)
 
 class TestCheckReport:
     def test_passed_is_derived_from_the_violations(self):
-        violation = Violation(0.5, expected=0.0, actual=1.0, magnitude=1.0)
+        violation = Violation(0.5, expected=0.0, actual=1.0)
         assert CheckReport("demo", [], 2, 0.0).passed
         report = CheckReport("demo", [violation], 2, 0.0, notes=["a note"])
         assert not report.passed
@@ -76,7 +80,7 @@ class TestCheckReport:
             "check_name", "passed", "violations", "grid_size", "tolerance", "seed", "notes"]
         assert report.to_dict()["passed"] is False
         # Golden JSON reads a tuple as a list, so the types are pinned here.
-        pair = Violation((1, 2), expected=0.25, actual=0.5, magnitude=0.25)
+        pair = Violation((1, 2), expected=0.25, actual=0.5)
         assert CheckReport("demo", [pair], 0, 1e-12, seed=3, notes=["a note"]).to_dict() == {
             "check_name": "demo", "passed": False,
             "violations": [{"location": [1, 2], "expected": 0.25, "actual": 0.5, "magnitude": 0.25}],
@@ -207,7 +211,7 @@ class TestFixedPointOfABlindKernel:
     def per_component(descriptor, n, tolerance):
         u = 1.0 / n
         image = apply_transformation(descriptor, uniform_distribution(n)).values
-        return [Violation(index, expected=u, actual=value, magnitude=abs(value - u))
+        return [Violation(index, expected=u, actual=value)
                 for index, value in enumerate(image, 1) if abs(value - u) > tolerance]
 
     @pytest.mark.parametrize("tolerance", [0.0, CHECK_TOLERANCE])
@@ -544,8 +548,14 @@ class TestNaNImages:
         assert [(v.location, v.magnitude) for v in report.violations] == [((1, 2), math.inf), ((2, 3), math.inf)]
 
     def test_violation_stores_a_nan_magnitude_as_infinite(self):
-        assert Violation(0.5, expected=0.2, actual=math.nan, magnitude=math.nan).magnitude == math.inf
-        assert Violation(0.5, expected=0.2, actual=0.3, magnitude=0.1).magnitude == 0.1
+        assert Violation(0.5, expected=0.2, actual=math.nan).magnitude == math.inf
+        assert Violation(0.5, expected=math.nan, actual=0.2).magnitude == math.inf
+        assert Violation(0.5, expected=0.2, actual=0.3).magnitude == abs(0.3 - 0.2)
+        # The magnitude is computed, the same either way round, and cannot be given.
+        for expected, actual in [(0.2, 0.3), (1 / 3, 0.1), (0.0, 5e-324), (0.25, math.inf), (-math.inf, 0.5)]:
+            assert Violation(0.5, expected, actual).magnitude == Violation(0.5, actual, expected).magnitude
+        with pytest.raises(TypeError):
+            Violation(0.5, expected=0.2, actual=0.3, magnitude=0.1)
 
 
 class _Counted(NegatorDescriptor):
@@ -676,8 +686,8 @@ def _wobble(p, n):
 
 def _interval(p, value, low, high, tolerance):
     if value < low - tolerance:
-        return Violation(p, expected=low, actual=value, magnitude=low - value)
-    return Violation(p, expected=high, actual=value, magnitude=value - high)
+        return Violation(p, expected=low, actual=value)
+    return Violation(p, expected=high, actual=value)
 
 
 def _per_point_reads(descriptor, n, tolerance, points, images):
@@ -688,14 +698,14 @@ def _per_point_reads(descriptor, n, tolerance, points, images):
         # positive below 1/n - tol and negative above 1/n + tol.
         gap = abs(value - p)
         if gap <= tolerance and abs(p - u) > tolerance:
-            found["fixed-point"].append(Violation(p, expected=u, actual=p, magnitude=abs(p - u)))
+            found["fixed-point"].append(Violation(p, expected=u, actual=p))
         elif not gap <= tolerance and (math.isnan(gap) or gap == math.inf or value < p < u - tolerance
                                        or value > p > u + tolerance):
-            found["fixed-point"].append(Violation(p, expected=p, actual=value, magnitude=gap))
+            found["fixed-point"].append(Violation(p, expected=p, actual=value))
         crossed = descriptor.images(YAGER.images([p], n), n)[0]
         residual = abs(crossed - YAGER.images([value], n)[0])
         if not residual <= tolerance:
-            found["functional-equation"].append(Violation(p, expected=0.0, actual=residual, magnitude=residual))
+            found["functional-equation"].append(Violation(p, expected=0.0, actual=residual))
         if p >= u and not -tolerance <= value <= u + tolerance:
             found["boundary-range"].append(_interval(p, value, 0.0, u, tolerance))
         if p <= u and not u - tolerance <= value <= high + tolerance:
@@ -973,6 +983,12 @@ class TestEntropyDelta:
     def test_delta_is_the_exact_difference_of_the_fields(self):
         report = entropy_delta(YAGER, EXAMPLE)
         assert report.delta == report.output_entropy - report.input_entropy
+        # The report computes the delta from its two entropies and takes no other.
+        assert report == EntropyReport(report.input_entropy, report.output_entropy)
+        for h0, h1 in [(0.7, 0.79375), (0.1, 0.3), (0.8, 0.5)]:
+            assert EntropyReport(h0, h1).delta == h1 - h0
+        with pytest.raises(TypeError):
+            EntropyReport(0.5, 0.75, delta=0.25)
 
     @pytest.mark.parametrize("descriptor", [YAGER, UNIFORM, Tsallis(2.0), Linear(0.5)])
     def test_the_uniform_distribution_is_a_fixed_point_of_the_delta(self, descriptor):
@@ -992,6 +1008,13 @@ class TestIterateNegation:
         assert trace.distances_to_uniform[0] == pytest.approx(2 / 3, abs=1e-15)
         assert trace.distances_to_uniform[1] == pytest.approx(1 / 3, abs=1e-15)
         assert trace.distances_to_uniform[2] == pytest.approx(1 / 6, abs=1e-15)
+        # A trace computes each step's diagnostics from the steps alone.
+        rebuilt = IterationTrace(list(trace.steps))
+        assert rebuilt == trace
+        assert rebuilt.distances_to_uniform == tuple(distance_to_uniform(d) for d in trace.steps)
+        assert rebuilt.entropies == tuple(entropy(d) for d in trace.steps)
+        with pytest.raises(TypeError):
+            IterationTrace(trace.steps, trace.distances_to_uniform, trace.entropies)
 
     def test_uniform_descriptor_collapses_in_one_step(self):
         trace = iterate_negation(UNIFORM, EXAMPLE, 3)

@@ -34,7 +34,7 @@ MIX = Mixture(((0.3, Linear(0.2)), (0.7, YAGER)))
 @pytest.mark.parametrize("value,text", [
     (Distribution((0.5, 0.5)), "Distribution(values=(0.5, 0.5))"),
     (Distribution([1, 0]), "Distribution(values=(1.0, 0.0))"),
-    (EntropyReport(0.5, 0.75, 0.25), "EntropyReport(input_entropy=0.5, output_entropy=0.75, delta=0.25)"),
+    (EntropyReport(0.5, 0.75), "EntropyReport(input_entropy=0.5, output_entropy=0.75, delta=0.25)"),
     (IDENTITY, "Identity()"),
     (ROOT_SUM, "RootSum()"),
     (UNIFORM, "Uniform()"),
@@ -43,13 +43,13 @@ MIX = Mixture(((0.3, Linear(0.2)), (0.7, YAGER)))
     (Linear(0.3), "Linear(alpha=0.3)"),
     (Generator(abs, "abs"), "Generator(fn=<built-in function abs>, label='abs', claims_pd_independent=False)"),
     (MIX, "Mixture(components=((0.3, Linear(alpha=0.2)), (0.7, Yager())))"),
-    (Violation((1, 2), expected=0.25, actual=0.5, magnitude=0.25),
+    (Violation((1, 2), expected=0.25, actual=0.5),
      "Violation(location=(1, 2), expected=0.25, actual=0.5, magnitude=0.25)"),
-    (CheckReport("fixed-point", [Violation(1, 0.5, 0.0, 0.5)], 11, 0.0, notes=["a note"]),
+    (CheckReport("fixed-point", [Violation(1, 0.5, 0.0)], 11, 0.0, notes=["a note"]),
      "CheckReport(check_name='fixed-point', violations=(Violation(location=1, expected=0.5, actual=0.0, "
      "magnitude=0.5),), grid_size=11, tolerance=0.0, seed=None, notes=('a note',))"),
     (LinearityVerdict(True, 0.0, 0.0), "LinearityVerdict(is_linear=True, alpha_estimate=0.0, max_residual=0.0)"),
-    (IterationTrace((Distribution((1, 0)),), (0.5,), (0.0,)),
+    (IterationTrace((Distribution((1, 0)),)),
      "IterationTrace(steps=(Distribution(values=(1.0, 0.0)),), distances_to_uniform=(0.5,), entropies=(0.0,))"),
     (Audit(MappingProxyType({"linearity": LinearityVerdict(False, None, 1.0)})),
      "Audit(results=mappingproxy({'linearity': LinearityVerdict(is_linear=False, alpha_estimate=None, "
@@ -64,7 +64,7 @@ def test_equal_fields_make_equal_values_with_equal_hashes():
     assert hash(Tsallis(2)) == hash(Tsallis(2.0))
     assert Mixture([(0.3, Linear(0.2)), (0.7, YAGER)]) == MIX
     assert hash(Mixture([(0.3, Linear(0.2)), (0.7, YAGER)])) == hash(MIX)
-    assert Violation((1, 2), 0.5, 0.25, 0.25) == Violation((1, 2), expected=0.5, actual=0.25, magnitude=0.25)
+    assert Violation((1, 2), 0.5, 0.25) == Violation((1, 2), expected=0.5, actual=0.25)
 
 
 def test_only_values_of_the_same_class_compare_equal():
@@ -76,7 +76,7 @@ def test_only_values_of_the_same_class_compare_equal():
 
 @pytest.mark.parametrize("value,field", [
     (Distribution((0.5, 0.5)), "values"), (Tsallis(2), "k"), (YAGER, "claims_negator"),
-    (MIX, "components"), (Violation(0.5, 0.5, 0.5, 0.0), "magnitude"),
+    (MIX, "components"), (Violation(0.5, 0.5, 0.5), "magnitude"),
 ])
 def test_assignment_and_deletion_are_refused(value, field):
     with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
@@ -87,7 +87,7 @@ def test_assignment_and_deletion_are_refused(value, field):
         value.other = 1
 
 
-@pytest.mark.parametrize("value", [Distribution((0.5, 0.5)), Tsallis(2), YAGER, MIX, Violation((1, 2), 0.5, 0.25, 0.25)])
+@pytest.mark.parametrize("value", [Distribution((0.5, 0.5)), Tsallis(2), YAGER, MIX, Violation((1, 2), 0.5, 0.25)])
 def test_copies_and_pickles_are_equal_values(value):
     for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert copied == value
