@@ -50,10 +50,14 @@ InternalConsistencyError (a negation off the simplex) or a failed write to
 stdout (such as a closed pipe) can stop a report partway, leaving what was
 written so far on stdout.
 
-main builds the parser of the command its first argument names, and that
-parser alone parses the rest, printing the command's help and errors as the
-full parser would.  With no command first, or an argument left over, the
-full parser parses them all, for pdneg's own help and usage errors.
+main reads a well-formed command line from _COMMANDS itself, so a successful
+run never imports argparse: each string starting with "-" is one of the
+command's long options (as --option=value too, but for --pretty), each value
+is given, starts with no "-" and passes its type and choices, every required
+option is given, and one string is left for each positional.  Otherwise the
+argparse parser of that command alone parses the rest, printing its help and
+errors as the full parser would; with no command first, or an argument left
+over, the full parser parses them all, for pdneg's own help and usage errors.
 
 Exit status: 0 success, 1 a check failed (report still emitted), 2 usage,
 parse or validation failure (errors derived from ValueError, a component
@@ -64,7 +68,6 @@ is one stderr line, whose message is cut in the middle past _MESSAGE_CAP.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import math
@@ -494,53 +497,49 @@ def cmd_entropy(args) -> int:
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _check_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("negator")
-    parser.add_argument("--n", type=int, required=True, help="distribution length to check at")
-    parser.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE, help="grid resolution over [0, 1]")
-    parser.add_argument("--tol", type=float, default=CHECK_TOLERANCE, help="check tolerance (finite, >= 0)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for the randomized probe contexts")
+#: --format and --pretty, which every command takes, and --input, which all but check take.
+_OUTPUT = (("--format", {"choices": ("json", "csv"), "default": "json"}),
+           ("--pretty", {"action": "store_true", "help": "round numbers to 6 significant digits"}))
+_INPUT = ("--input", {"default": None, "metavar": "PATH", "help": "input document (default: stdin)"})
 
-
-def _iterate_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("negator")
-    parser.add_argument("--steps", type=int, default=10)
-
-
-def _sweep_alpha_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alphas", type=int, default=11, help="number of alpha grid points (>= 2)")
-    parser.add_argument("--n", type=int, default=None, help="require every input distribution to have this length")
-
-
-#: Each command's help, its handler, whether it takes --input, and the function
-#: that adds the arguments of its own to a parser.
+#: Each command's help, handler and arguments, each its flag or name and add_argument's keywords, in parser order.
 _COMMANDS = {
-    "negate": ("apply a negator to each input distribution", cmd_negate, True,
-               lambda parser: parser.add_argument("negator", help="descriptor, e.g. yager or linear:n1=0.1")),
-    "check": ("run the applicable property checks for a descriptor", cmd_check, False, _check_arguments),
-    "iterate": ("emit the trace of repeated negation", cmd_iterate, True, _iterate_arguments),
-    "sweep-alpha": ("apply every linear negator on an alpha grid", cmd_sweep_alpha, True, _sweep_alpha_arguments),
-    "entropy": ("report the entropy of each input distribution", cmd_entropy, True, lambda parser: None),
+    "negate": ("apply a negator to each input distribution", cmd_negate,
+               (*_OUTPUT, _INPUT, ("negator", {"help": "descriptor, e.g. yager or linear:n1=0.1"}))),
+    "check": ("run the applicable property checks for a descriptor", cmd_check, (
+        *_OUTPUT, ("negator", {}),
+        ("--n", {"type": int, "required": True, "help": "distribution length to check at"}),
+        ("--grid", {"type": int, "default": DEFAULT_GRID_SIZE, "help": "grid resolution over [0, 1]"}),
+        ("--tol", {"type": float, "default": CHECK_TOLERANCE, "help": "check tolerance (finite, >= 0)"}),
+        ("--seed", {"type": int, "default": 0, "help": "seed for the randomized probe contexts"}))),
+    "iterate": ("emit the trace of repeated negation", cmd_iterate,
+                (*_OUTPUT, _INPUT, ("negator", {}), ("--steps", {"type": int, "default": 10}))),
+    "sweep-alpha": ("apply every linear negator on an alpha grid", cmd_sweep_alpha, (
+        *_OUTPUT, _INPUT,
+        ("--alphas", {"type": int, "default": 11, "help": "number of alpha grid points (>= 2)"}),
+        ("--n", {"type": int, "default": None, "help": "require every input distribution to have this length"}))),
+    "entropy": ("report the entropy of each input distribution", cmd_entropy, (*_OUTPUT, _INPUT)),
 }
 
 
-def _command_parser(name: str, parser: argparse.ArgumentParser | None = None) -> argparse.ArgumentParser:
+def _command_parser(name: str, parser=None):
     """`parser` given the arguments and defaults of the command `name`; by
-    default a new parser of that command alone."""
+    default a new argparse.ArgumentParser of that command alone."""
+    import argparse  # here, not at module level: a well-formed command line is read without it
+
     if parser is None:
         parser = argparse.ArgumentParser(prog=f"pdneg {name}")
-    _, handler, takes_input, add_arguments = _COMMANDS[name]
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--pretty", action="store_true", help="round numbers to 6 significant digits")
-    if takes_input:
-        parser.add_argument("--input", default=None, metavar="PATH", help="input document (default: stdin)")
-    add_arguments(parser)
+    _, handler, arguments = _COMMANDS[name]
+    for flag, keywords in arguments:
+        parser.add_argument(flag, **keywords)
     parser.set_defaults(handler=handler, command=name)
     return parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, which prints pdneg's help and usage errors."""
+def _build_parser():
+    """The argparse parser of every command, which prints pdneg's help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="pdneg",
         description="Construct, apply and analyse negations of finite probability distributions.",
@@ -551,10 +550,51 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv: list[str] | None) -> argparse.Namespace:
+def _read_argv(name: str, argv: list[str]) -> SimpleNamespace | None:
+    """argv, the arguments after the command `name`, read as the module docstring
+    says from its arguments in _COMMANDS, each a store_true flag or taking one
+    value; None where the command's parser might read argv otherwise or refuse it."""
+    _, handler, arguments = _COMMANDS[name]
+    options, pairs, positionals, strings = dict(arguments), [], [], iter(argv)
+    flags = {flag for flag, keywords in arguments if keywords.get("action") == "store_true"}
+    names = [flag for flag, _ in arguments if not flag.startswith("-")]
+    for string in strings:
+        flag, equals, value = string.partition("=")
+        if not string.startswith("-"):
+            positionals.append(string)
+        elif flag not in options or equals and flag in flags:
+            return None
+        else:  # a missing value reads as one starting with "-"
+            pairs.append((flag, True if flag in flags else value if equals else next(strings, "-")))
+    if len(positionals) != len(names):
+        return None
+    values = {}
+    for flag, value in [*zip(names, positionals), *pairs]:  # each value is checked, as the parser checks them all
+        if value is not True:
+            if value.startswith("-"):
+                return None
+            try:
+                value = options[flag].get("type", str)(value)
+            except (TypeError, ValueError):
+                return None
+            if value not in options[flag].get("choices", (value,)):
+                return None
+        values[flag] = value
+    for flag, keywords in arguments:
+        if flag not in values and keywords.get("required"):
+            return None
+        values.setdefault(flag, keywords.get("default", False if flag in flags else None))
+    return SimpleNamespace(handler=handler, command=name,
+                           **{flag.lstrip("-").replace("-", "_"): value for flag, value in values.items()})
+
+
+def _parse(argv: list[str] | None):
     """argv (default sys.argv[1:]) parsed as the module docstring says; exits on -h or a usage error."""
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in _COMMANDS:
+        args = _read_argv(argv[0], argv[1:])
+        if args is not None:
+            return args
         args, left = _command_parser(argv[0]).parse_known_args(argv[1:])
         if not left:
             return args

@@ -1,7 +1,8 @@
 """Check what starting the CLI loads: import pdneg.cli, build its full parser
-and each command's own parser (the one main parses that command with), print
-each module that adds to this interpreter, one a line, and exit 1 if any of
-them is one the CLI has no need of.
+and each command's own parser (the argparse parsers main falls back to for
+help, usage errors and command lines it does not read itself), print each
+module that adds to this interpreter, one a line, and exit 1 if any of them is
+one the CLI has no need of.
 
     python -I tests/startup_modules.py [SRC]
 

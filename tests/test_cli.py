@@ -824,6 +824,7 @@ ARGUMENTS = st.sampled_from([
     "--format", "--form", "--format=csv", "--form=xml", "json", "csv", "xml", "--pretty", "--pre",
     "--input", "--inp=x.json", "x.json", "--n", "--n=5", "5", "-3", "abc", "--grid", "--grid=11", "11",
     "--tol", "nan", "1e-9", "--seed", "--steps", "--st=2", "--alphas", "--al", "3",
+    "--n=-3", "--seed=-1", "--input=-", "--input=a=b", "--pretty=1", "--format=", "", "-1.5",
 ])
 
 
@@ -843,6 +844,8 @@ class TestParsing:
         ["check", "yager", "--n", "5", "--input", "x"], ["check", "yager", "--n", "abc"],
         ["negate", "--", "yager"], ["-h", "negate"], ["entropy", "--input"], ["--", "negate", "yager"],
         ["check", "yager", "--n", "5"], ["sweep-alpha", "--form", "csv", "--al", "3", "--n=4"],
+        ["check", "yager"], ["check", "negate"], ["negate", "yager", "--n", "5"], ["entropy", "--pretty", "--pretty"],
+        ["negate", "--input", "", "yager"], ["sweep-alpha", "--n"], ["iterate", "yager", "--steps", "-2"],
     ])
     def test_main_parses_as_the_full_parser_does(self, argv):
         assert parsed(cli._parse, argv) == parsed_by_the_full_parser(argv)
@@ -860,8 +863,12 @@ class TestParsing:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         return progs
 
-    def test_a_command_builds_its_own_parser_alone(self, capsys, tmp_path, built):
+    def test_a_well_formed_command_line_builds_no_parser(self, capsys, tmp_path, built):
         assert main(["entropy", "--input", write_input(tmp_path, EXAMPLE_LINE)]) == 0
+        assert built == []
+
+    def test_an_abbreviated_option_builds_the_commands_parser_alone(self, capsys, tmp_path, built):
+        assert main(["entropy", "--inp", write_input(tmp_path, EXAMPLE_LINE)]) == 0
         assert built == ["pdneg entropy"]
 
     @pytest.mark.parametrize("argv", [["-h"], ["bogus"]])
@@ -920,3 +927,21 @@ class TestStartup:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert "pdneg.cli" in done.stdout.split()
+
+    def test_a_successful_run_loads_no_argparse(self, tmp_path):
+        code = (
+            "import contextlib, io, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from pdneg.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['check', 'yager', '--n', '5', '--grid', '11']), main(['entropy', '--input', sys.argv[2]])]\n"
+            "print(codes, [name for name in ('argparse', 'gettext', 'locale') if name in sys.modules])\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+            "    main(['check', '-h'])\n"
+            "print('argparse' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run([sys.executable, "-I", "-c", code, src, write_input(tmp_path, EXAMPLE_LINE)],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[0, 0] []\nTrue\n"
