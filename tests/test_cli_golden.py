@@ -66,6 +66,11 @@ COMMANDS = [
     # The two paths a linear-family block shares: Yager's Y(p) is its N(p), and a line is N(p).
     ("check-yager-n1000", ["check", "yager", "--n", "1000", "--grid", "10001"], 0),
     ("check-linear-n1000", ["check", "linear:alpha=0.3", "--n", "1000", "--grid", "10001"], 0),
+    # A pd-dependent two-component mixture: its sum in the images of a
+    # distribution, in every drawn probe context and in the fixed point's N(uniform).
+    ("negate-mix", ["negate", "mix:[0.5*yager,0.5*tsallis:k=2]"], 0),
+    ("check-mix-tsallis", ["check", "mix:[0.5*yager,0.5*tsallis:k=2]", "--n", "5"], 1),
+    ("check-mix-tsallis-n1000", ["check", "mix:[0.5*yager,0.5*tsallis:k=2]", "--n", "1000", "--seed", "7"], 1),
 ]
 # (name, argv, exit code), run on QUOTED_DOCUMENT
 QUOTED_COMMANDS = [
