@@ -34,7 +34,11 @@ empirically.
 
 Each descriptor maps a whole vector of values in one call of its kernel,
 :meth:`NegatorDescriptor.images`, which computes a pd-dependent normaliser
-once.  Costs in the distribution length n: :func:`apply_transformation` is
+once.  A kernel does only the arithmetic its result needs: Yager's maps p
+to (1 - p) / (n - 1), and a two-component mixture sums its weighted images
+in one IEEE addition, which is the correctly rounded sum ``math.fsum``
+gives; a mixture of more components sums each value with ``math.fsum``.
+Costs in the distribution length n: :func:`apply_transformation` is
 O(n); :func:`evaluate` is O(n) with a context and O(1) without (for a
 claimed-independent generator too, computed from the two terms of its
 canonical context); and :func:`pdneg.analysis.check_negation_pair` is
@@ -133,7 +137,14 @@ class Identity(_Frozen, NegatorDescriptor):
 
 
 class _LinearFamily(_Frozen, NegatorDescriptor):
-    """N(p) = alpha/n + (1 - alpha)(1 - p)/(n - 1); uniform is alpha = 1, Yager alpha = 0."""
+    """N(p) = alpha/n + (1 - alpha)(1 - p)/(n - 1); uniform is alpha = 1, Yager alpha = 0.
+
+    At alpha = 0 (``yager``, ``Linear(0.0)``, ``linear:n1=0``) the kernel
+    computes (1 - p) / (n - 1) in two operations.  That is the general form
+    0.0 + 1.0 * (1 - p) / (n - 1) bit for bit at every p, NaN and infinities
+    included, except where (1 - p) / (n - 1) rounds to -0.0, which needs
+    p > 1 and n >= 2**1023, outside the kernel's domain.
+    """
 
     claims_negator = True
     claims_pd_independent = True
@@ -143,7 +154,10 @@ class _LinearFamily(_Frozen, NegatorDescriptor):
         if n is None:
             raise _length_required(self)
         require_length(n)
-        head, slope, rest = self.alpha / n, 1.0 - self.alpha, float(n - 1)
+        rest = float(n - 1)
+        if self.alpha == 0.0:
+            return [(1.0 - p) / rest for p in values]
+        head, slope = self.alpha / n, 1.0 - self.alpha
         return [head + slope * (1.0 - p) / rest for p in values]
 
 
@@ -266,7 +280,16 @@ class Generator(_Normalised):
 
 class Mixture(_Frozen, NegatorDescriptor):
     """``depth`` counts the mixtures nested here, this one included: at most
-    MAX_MIX_DEPTH.  It is not a field, so it is neither shown nor compared."""
+    MAX_MIX_DEPTH.  It is not a field, so it is neither shown nor compared.
+
+    The kernel sums each value's weighted images ``w * x`` with
+    ``math.fsum``.  Two components are summed in one IEEE addition instead,
+    ``w * x + v * y + 0.0``: the sum of two floats is correctly rounded, as
+    fsum's is, and ``+ 0.0`` turns -0.0 + -0.0 into fsum's 0.0.  When that
+    list's sum is not finite, the components are mapped again and summed by
+    fsum, so NaN and infinities come out, and fsum's ValueError on inf - inf
+    and its OverflowError are raised, as with any other number of components.
+    """
 
     FIELDS = ("components",)
 
@@ -294,6 +317,12 @@ class Mixture(_Frozen, NegatorDescriptor):
         return f"mix:[{inner}]"
 
     def images(self, values, n, context=None):
+        if len(self.components) == 2:
+            (w, first), (v, second) = self.components
+            pairs = zip(first.images(values, n, context), second.images(values, n, context))
+            out = [w * x + v * y + 0.0 for x, y in pairs]
+            if math.isfinite(sum(out)):
+                return out
         weighted = [map(operator.mul, repeat(w), inner.images(values, n, context)) for w, inner in self.components]
         return list(map(math.fsum, zip(*weighted)))
 

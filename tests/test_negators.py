@@ -9,8 +9,10 @@ import io
 import json
 import math
 import operator
+import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import repeat
 from unittest import mock
 
 import pytest
@@ -31,6 +33,7 @@ from pdneg import (
     Linear,
     Mixture,
     NegationError,
+    NegatorDescriptor,
     RangeError,
     ROOT_SUM,
     Tsallis,
@@ -58,6 +61,37 @@ from pdneg.negators import MAX_MIX_DEPTH
 EXAMPLE = validate_distribution(EXAMPLE_PD)
 
 NEGATOR_BUILTINS = [UNIFORM, YAGER, Tsallis(0.5), Tsallis(2.0), Linear(0.25), Linear(0.75)]
+
+#: Arguments at and past the ends of [0, 1], signed zeros and non-numbers.
+EDGE_VALUES = [0.0, -0.0, 5e-324, 1.0, 1.0 + 2.0**-52, math.nan, math.inf, -math.inf]
+LENGTHS = st.sampled_from([2, 3, 1000])
+
+
+def _fsum_images(descriptor, values, n, context):
+    """A descriptor's images with every mixture summed per value by math.fsum."""
+    if not isinstance(descriptor, Mixture):
+        return descriptor.images(values, n, context)
+    weighted = [map(operator.mul, repeat(w), _fsum_images(inner, values, n, context))
+                for w, inner in descriptor.components]
+    return list(map(math.fsum, zip(*weighted)))
+
+
+def _outcome(kernel, *args):
+    """The reprs of a kernel's images, which tell -0.0 and NaN apart, or the type it raised."""
+    try:
+        return [repr(x) for x in kernel(*args)]
+    except NegationError as exc:
+        return type(exc)
+
+
+class _Constant(NegatorDescriptor):
+    """A stub whose image is ``value`` at every argument."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def images(self, values, n, context=None):
+        return [self.value] * len(values)
 
 
 class TestClaims:
@@ -456,21 +490,55 @@ class TestMixture:
 
     @pytest.mark.parametrize("n", [5, 1000])
     def test_images_match_the_per_column_weighted_fsum(self, n):
-        def reference(descriptor, values, context):
-            if not isinstance(descriptor, Mixture):
-                return descriptor.images(values, n, context)
-            weights = [w for w, _ in descriptor.components]
-            columns = zip(*(reference(inner, values, context) for _, inner in descriptor.components))
-            return [math.fsum(map(operator.mul, weights, column)) for column in columns]
-
         linear = mixture([(0.3, Linear(0.2)), (0.7, mixture([(0.25, UNIFORM), (0.75, YAGER)]))])
         grid = [k / 1000 for k in range(1001)]
-        assert linear.images(grid, n) == reference(linear, grid, None)
+        assert linear.images(grid, n) == _fsum_images(linear, grid, n, None)
         dependent = mixture([(0.5, Tsallis(2.0)), (0.2, linear), (0.3, mixture([(0.4, ROOT_SUM), (0.6, YAGER)]))])
         context = sample_distributions(n, 1, seed=n)[0].values
-        assert dependent.images(context, n, context) == reference(dependent, context, context)
+        assert dependent.images(context, n, context) == _fsum_images(dependent, context, n, context)
         foreign = [context[0], context[-1], context[n // 2], context[0]]
-        assert dependent.images(foreign, n, context) == reference(dependent, foreign, context)
+        assert dependent.images(foreign, n, context) == _fsum_images(dependent, foreign, n, context)
+
+    TWO_COMPONENT = LENGTHS.flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.tuples(st.floats(0.0, 1.0), descriptors(n, 2), descriptors(n, 2)).map(
+            lambda t: f"mix:[{t[0]!r}*{t[1]},{1.0 - t[0]!r}*{t[2]}]"),
+        extreme_simplexes(n),
+    )).map(_Case)
+
+    @settings(deadline=None, max_examples=100)
+    @given(TWO_COMPONENT)
+    def test_a_two_component_sum_is_the_fsum_bit_for_bit(self, case):
+        n, text, dist = case
+        descriptor, values = parse_descriptor(text, n), dist.values
+        assert _outcome(descriptor.images, values, n, values) == _outcome(_fsum_images, descriptor, values, n, values)
+
+    def test_two_negative_zeros_sum_to_positive_zero(self):
+        descriptor, context = parse_descriptor("mix:[0.5*identity,0.5*rootsum]"), (-0.0, 0.5, 0.5)
+        images = descriptor.images(context, 3, context)
+        assert list(map(repr, images)) == ["0.0", "0.5", "0.5"]
+        assert images == _fsum_images(descriptor, context, 3, context)
+
+    @pytest.mark.parametrize("first,second,weight,expected", [
+        (math.inf, -math.inf, 0.5, ValueError),
+        (sys.float_info.max, sys.float_info.max, 0.5 + 4e-13, OverflowError),
+    ])
+    def test_a_two_component_sum_raises_as_fsum_does(self, first, second, weight, expected):
+        descriptor = Mixture([(weight, _Constant(first)), (weight, _Constant(second))])
+        with pytest.raises(expected):
+            descriptor.images([0.5], 2)
+        with pytest.raises(expected):
+            _fsum_images(descriptor, [0.5], 2, None)
+
+    @pytest.mark.parametrize("first,expected", [(math.inf, "inf"), (math.nan, "nan")])
+    def test_a_non_finite_component_comes_through_the_sum(self, first, expected):
+        descriptor = Mixture([(0.5, _Constant(first)), (0.5, _Constant(1.0))])
+        assert list(map(repr, descriptor.images([0.5, 0.5], 2))) == [expected, expected]
+
+    def test_three_components_are_summed_exactly(self):
+        # 1 + 2**-53 + 2**-53 is 1.0 added left to right; fsum rounds the exact 1 + 2**-52.
+        descriptor = Mixture([(0.5, _Constant(2.0)), (0.25, _Constant(2.0**-51)), (0.25, _Constant(2.0**-51))])
+        assert descriptor.images([0.5], 2) == [1.0 + 2.0**-52]
 
     def test_weight_sum_error_reports_the_actual_sum(self):
         with pytest.raises(WeightError) as excinfo:
@@ -500,7 +568,28 @@ class TestMixture:
         assert str(excinfo.value) == f"mixtures nest more than {MAX_MIX_DEPTH} deep"
 
 
+def _general_line(alpha, values, n):
+    head, slope, rest = alpha / n, 1.0 - alpha, float(n - 1)
+    return [head + slope * (1.0 - p) / rest for p in values]
+
+
 class TestLinearFamily:
+    YAGER_FORMS = [lambda n: YAGER, lambda n: Linear(0.0), lambda n: parse_descriptor("linear:n1=0", n)]
+
+    @pytest.mark.parametrize("n", [2, 3, 1000])
+    @pytest.mark.parametrize("build", YAGER_FORMS, ids=["yager", "alpha=0", "n1=0"])
+    def test_yager_kernel_is_the_general_line_bit_for_bit(self, build, n):
+        values = [k / 2047 for k in range(2048)] + EDGE_VALUES
+        assert _outcome(build(n).images, values, n) == _outcome(_general_line, 0.0, values, n)
+
+    @settings(deadline=None, max_examples=50)
+    @given(LENGTHS.flatmap(lambda n: st.tuples(st.just(n), extreme_simplexes(n))))
+    def test_yager_kernel_is_the_general_line_on_extreme_simplexes(self, case):
+        n, dist = case
+        expected = _outcome(_general_line, 0.0, dist.values, n)
+        for build in self.YAGER_FORMS:
+            assert _outcome(build(n).images, dist.values, n, dist.values) == expected
+
     def test_alpha_zero_coincides_with_yager(self):
         descriptor = linear_from_alpha(0.0)
         for n in (2, 5, 9):
