@@ -586,9 +586,12 @@ def entropy_delta(descriptor: NegatorDescriptor, dist: Distribution) -> EntropyR
 
 
 def distance_to_uniform(dist: Distribution) -> float:
-    """Max-norm distance from the uniform distribution of the same length."""
-    u = 1.0 / len(dist)
-    return max(abs(value - u) for value in dist.values)
+    """Max-norm distance from the uniform distribution of the same length.
+
+    The farthest component is the greatest or the least, since the rounded
+    fl(v - u) is monotone in v and fl(u - v) = -fl(v - u)."""
+    values, u = dist.values, 1.0 / len(dist)
+    return max(max(values) - u, u - min(values))
 
 
 def require_iteration(descriptor: NegatorDescriptor, n: int, steps: int) -> None:

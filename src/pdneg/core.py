@@ -8,6 +8,7 @@ checked elsewhere are stated on index pairs of the original ordering.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -17,6 +18,7 @@ from .errors import ComponentIndexError, ComponentTypeError, LengthError, RangeE
 DEFAULT_TOLERANCE = 1e-9
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
+_BLOCK = 2048  # components whose entropy terms are built at a time
 
 
 def _check_simplex(values: Sequence[float], tolerance: float) -> None:
@@ -164,27 +166,40 @@ def point_distribution(n: int, i: int) -> Distribution:
     return Distribution(tuple(1.0 if j == i - 1 else 0.0 for j in range(n)))
 
 
-def _square_exact(p: float) -> tuple[float, float]:
-    """p*p as an exact head/tail pair (Dekker product via Veltkamp split)."""
-    head = p * p
-    scaled = p * _SPLIT
-    upper = scaled - (scaled - p)
-    lower = p - upper
-    tail = ((upper * upper - head) + 2.0 * (upper * lower)) + lower * lower
-    return head, tail
+def _entropy_terms(values: Sequence[float]) -> list[float]:
+    """p, -u*u, -2*u*l and -l*l for each component p, where u + l = p is
+    p's Veltkamp split: u and l each fit in 26 bits, so the three products
+    are exact and sum to p*p."""
+    terms: list[float] = []
+    append = terms.append
+    for p in values:
+        upper = p * _SPLIT
+        upper -= upper - p
+        lower = p - upper
+        append(p)
+        append(-upper * upper)
+        append(-2.0 * (upper * lower))
+        append(-lower * lower)
+    return terms
 
 
 def entropy(dist: Distribution) -> float:
     """Quadratic entropy: the sum of (1 - p) * p over the components.
 
-    Accumulated as p - p^2 with exact squares so the whole sum rounds once;
+    Each component p adds four exact terms: p itself, and -u*u, -2*u*l and
+    -l*l, where u + l = p is p's Veltkamp split into two halves of 26 bits
+    each.  One ``math.fsum`` adds every term, so the whole sum rounds once;
     this keeps the result at the closed-form value (n-1)/n for uniform
     inputs wherever 1/n is representable, and never above it otherwise.
+    Below p = 2**-511 a square leaves the normal range and its products
+    round, so there the result can miss the exact value.
+
+    The terms are built ``_BLOCK`` components at a time: one list for
+    n <= _BLOCK, and above that a chain of blocks fed to the same fsum, so
+    the working memory stays O(_BLOCK) and the result is the same.
     """
-    terms: list[float] = []
-    for p in dist.values:
-        head, tail = _square_exact(p)
-        terms.append(p)
-        terms.append(-head)
-        terms.append(-tail)
-    return math.fsum(terms)
+    values = dist.values
+    if len(values) <= _BLOCK:
+        return math.fsum(_entropy_terms(values))
+    blocks = (_entropy_terms(values[start:start + _BLOCK]) for start in range(0, len(values), _BLOCK))
+    return math.fsum(itertools.chain.from_iterable(blocks))

@@ -249,8 +249,12 @@ class Generator(_Normalised):
 
     ``fn`` must be effect-free, finite and non-negative on [0, 1], and have
     a positive sum that does not overflow over every distribution it is
-    applied to; a breach raises :class:`GeneratorError`.  The function
-    itself is not serialisable; ``label`` stands in for it in reports.
+    applied to; a breach raises :class:`GeneratorError`.  So does an
+    exception raised by ``fn``, or a result that does not compare as a real
+    number, chained from the error; either names ``label`` and the first
+    failing p, which ``fn`` is called on again, one p at a time, to find.
+    The function itself is not serialisable; ``label`` stands in for it in
+    reports.
 
     pd-independence cannot be decided from function values, so the claim
     defaults to False and may be asserted by the caller (typically after
@@ -271,11 +275,29 @@ class Generator(_Normalised):
         return f"generator:{self.label}"
 
     def numerators(self, values):
-        out = [self.fn(p) for p in values]
-        for p, fp in zip(values, out):
-            if not 0.0 <= fp < math.inf:
-                raise GeneratorError(f"generator {self.label} is negative, infinite or NaN at {p!r}: f = {fp!r}")
-        return out
+        try:
+            out = [self.fn(p) for p in values]
+            for fp in out:
+                if not 0.0 <= fp < math.inf:
+                    break
+            else:
+                return out
+        except Exception:
+            pass
+        return [self._numerator(p) for p in values]  # again, one p at a time, to name the first that fails
+
+    def _numerator(self, p: float):
+        try:
+            fp = self.fn(p)
+        except Exception as error:
+            raise GeneratorError(f"generator {self.label} raises {type(error).__name__} at {p!r}: {error}") from error
+        try:
+            valid = bool(0.0 <= fp < math.inf)
+        except Exception as error:
+            raise GeneratorError(f"generator {self.label} gives no real number at {p!r}: f = {fp!r}") from error
+        if not valid:
+            raise GeneratorError(f"generator {self.label} is negative, infinite or NaN at {p!r}: f = {fp!r}")
+        return fp
 
 
 class Mixture(_Frozen, NegatorDescriptor):

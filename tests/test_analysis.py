@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import EXAMPLE_PD, normalize
+from conftest import EXAMPLE_PD, extreme_simplexes, normalize
 from pdneg import (
     ArgumentError,
     CheckReport,
@@ -1015,6 +1015,14 @@ class TestIterateNegation:
         assert rebuilt.entropies == tuple(entropy(d) for d in trace.steps)
         with pytest.raises(TypeError):
             IterationTrace(trace.steps, trace.distances_to_uniform, trace.entropies)
+
+    @settings(deadline=None)
+    @given(st.sampled_from([2, 3, 5, 10, 1000]).flatmap(extreme_simplexes))
+    def test_distance_to_uniform_is_the_largest_componentwise_distance(self, dist):
+        # The greatest and least components decide it: the same float as
+        # the largest |v - u| over every component.
+        u = 1.0 / len(dist)
+        assert repr(distance_to_uniform(dist)) == repr(max(abs(value - u) for value in dist.values))
 
     def test_uniform_descriptor_collapses_in_one_step(self):
         trace = iterate_negation(UNIFORM, EXAMPLE, 3)

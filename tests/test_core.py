@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
-from conftest import EXAMPLE_PD, simplexes
+from conftest import EXAMPLE_PD, TINIEST, extreme_simplexes, normalize, simplexes
 from pdneg import (
     YAGER,
     ComponentIndexError,
@@ -29,7 +31,7 @@ from pdneg import (
     uniform_distribution,
     validate_distribution,
 )
-from pdneg.core import DEFAULT_TOLERANCE, _check_simplex
+from pdneg.core import _SPLIT, DEFAULT_TOLERANCE, _check_simplex
 
 
 class TestValidateDistribution:
@@ -216,6 +218,54 @@ class TestEntropy:
         for n in range(2, 7):
             for dist in sample_distributions(n, 50, seed=n):
                 assert entropy(dist) == _exact_entropy(dist.values)
+
+    @settings(deadline=None)
+    @given(st.integers(2, 12).flatmap(extreme_simplexes))
+    def test_entropy_is_correctly_rounded_at_the_edges_of_the_simplex(self, dist):
+        assert entropy(dist) == _exact_entropy(dist.values)
+
+    # 2047, 2048 and 2049 put the last component on either side of one
+    # block's end; 5000 chains three blocks, the last of them partial.
+    @pytest.mark.parametrize("n", [2047, 2048, 2049, 5000])
+    @settings(deadline=None, max_examples=10)
+    @given(data=st.data())
+    def test_entropy_is_correctly_rounded_across_blocks(self, n, data):
+        dist = data.draw(extreme_simplexes(n))
+        assert entropy(dist) == _exact_entropy(dist.values)
+
+    @staticmethod
+    def reference(values) -> float:
+        """The Dekker kernel: p, the rounded head p*p and its exact tail,
+        all summed by one fsum."""
+        terms = []
+        for p in values:
+            head = p * p
+            scaled = p * _SPLIT
+            upper = scaled - (scaled - p)
+            lower = p - upper
+            terms += (p, -head, -(((upper * upper - head) + 2.0 * (upper * lower)) + lower * lower))
+        return math.fsum(terms)
+
+    # Below 2**-511 a square leaves the normal range and its products round,
+    # so there both kernels may miss the exact value; they still agree.
+    @settings(deadline=None)
+    @given(st.lists(st.one_of(st.floats(TINIEST, 1.0), st.floats(-1074.0, 0.0).map(lambda e: 2.0**e)),
+                    min_size=1, max_size=30).map(lambda draws: normalize([1.0, *draws])))
+    def test_entropy_matches_the_dekker_kernel_down_to_the_least_subnormal(self, dist):
+        assert entropy(dist) == self.reference(dist.values)
+
+    def test_entropy_works_in_constant_memory(self):
+        # Its terms are built 2048 components at a time; a list of all 4n
+        # of them would take about 20 MiB here.
+        dist = uniform_distribution(200_000)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            entropy(dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_bounds_by_brute_force_n2(self):
         values = [entropy(Distribution((k / 200, 1.0 - k / 200))) for k in range(201)]

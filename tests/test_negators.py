@@ -348,6 +348,19 @@ class TestGeneratorContract:
         with pytest.raises(GeneratorError, match="infinite"):
             apply_transformation(self.INFINITE_AT_ONE, Distribution((1.0, 0.0, 0.0)))
 
+    @pytest.mark.parametrize("fn,cause,message", [
+        (lambda p: "x", TypeError, "generator g gives no real number at 0.3: f = 'x'"),
+        (lambda p: None, TypeError, "generator g gives no real number at 0.3: f = None"),
+        (lambda p: 1 / 0, ZeroDivisionError, "generator g raises ZeroDivisionError at 0.3: division by zero"),
+        (lambda p: 1.0 / (p - 0.5) ** 2, ZeroDivisionError,  # fails at the last p only
+         "generator g raises ZeroDivisionError at 0.5: float division by zero"),
+    ])
+    def test_a_failing_function_raises_a_generator_error_naming_label_and_p(self, fn, cause, message):
+        with pytest.raises(GeneratorError) as excinfo:
+            apply_transformation(Generator(fn, "g"), Distribution((0.3, 0.2, 0.5)))
+        assert str(excinfo.value) == message
+        assert type(excinfo.value.__cause__) is cause
+
     def test_an_overflowing_normaliser_is_rejected(self):
         with pytest.raises(GeneratorError, match="overflows"):
             from_generator(lambda p: 1e308, Distribution((0.5, 0.5)))
