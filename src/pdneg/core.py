@@ -8,7 +8,6 @@ checked elsewhere are stated on index pairs of the original ordering.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -18,7 +17,6 @@ from .errors import ComponentIndexError, ComponentTypeError, LengthError, RangeE
 DEFAULT_TOLERANCE = 1e-9
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
-_BLOCK = 2048  # components whose entropy terms are built at a time
 
 
 def _check_simplex(values: Sequence[float], tolerance: float) -> None:
@@ -166,21 +164,18 @@ def point_distribution(n: int, i: int) -> Distribution:
     return Distribution(tuple(1.0 if j == i - 1 else 0.0 for j in range(n)))
 
 
-def _entropy_terms(values: Sequence[float]) -> list[float]:
-    """p, -u*u, -2*u*l and -l*l for each component p, where u + l = p is
-    p's Veltkamp split: u and l each fit in 26 bits, so the three products
+def _entropy_terms(values: Iterable[float]) -> Iterator[float]:
+    """Yield p, -u*u, -2*u*l and -l*l for each component p, where u + l = p
+    is p's Veltkamp split: u and l each fit in 26 bits, so the three products
     are exact and sum to p*p."""
-    terms: list[float] = []
-    append = terms.append
     for p in values:
         upper = p * _SPLIT
         upper -= upper - p
         lower = p - upper
-        append(p)
-        append(-upper * upper)
-        append(-2.0 * (upper * lower))
-        append(-lower * lower)
-    return terms
+        yield p
+        yield -upper * upper
+        yield -2.0 * (upper * lower)
+        yield -lower * lower
 
 
 def entropy(dist: Distribution) -> float:
@@ -194,12 +189,7 @@ def entropy(dist: Distribution) -> float:
     Below p = 2**-511 a square leaves the normal range and its products
     round, so there the result can miss the exact value.
 
-    The terms are built ``_BLOCK`` components at a time: one list for
-    n <= _BLOCK, and above that a chain of blocks fed to the same fsum, so
-    the working memory stays O(_BLOCK) and the result is the same.
+    The terms come from a generator, so no list of them is built and the
+    working memory does not grow with n.
     """
-    values = dist.values
-    if len(values) <= _BLOCK:
-        return math.fsum(_entropy_terms(values))
-    blocks = (_entropy_terms(values[start:start + _BLOCK]) for start in range(0, len(values), _BLOCK))
-    return math.fsum(itertools.chain.from_iterable(blocks))
+    return math.fsum(_entropy_terms(dist.values))
