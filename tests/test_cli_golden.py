@@ -71,6 +71,10 @@ COMMANDS = [
     ("negate-mix", ["negate", "mix:[0.5*yager,0.5*tsallis:k=2]"], 0),
     ("check-mix-tsallis", ["check", "mix:[0.5*yager,0.5*tsallis:k=2]", "--n", "5"], 1),
     ("check-mix-tsallis-n1000", ["check", "mix:[0.5*yager,0.5*tsallis:k=2]", "--n", "1000", "--seed", "7"], 1),
+    # An exact balance of two equal lists, and a check that fails at tol 0 on a linear negator's
+    # fixed point, balance and boundary range.
+    ("check-uniform-n1000", ["check", "uniform", "--n", "1000", "--grid", "10001"], 0),
+    ("check-linear-tol0", ["check", "linear:alpha=0.3", "--n", "5", "--grid", "101", "--tol", "0"], 1),
 ]
 # (name, argv, exit code), run on QUOTED_DOCUMENT
 QUOTED_COMMANDS = [
