@@ -12,12 +12,14 @@ linearity) share one sweep of the grid, in blocks of GRID_BLOCK points; each
 public check runs it with itself alone, and :func:`audit`, the one plan of
 ``pdneg check``, with all four, then the independence probe.  Every check
 reads one block object: the points, N at each, and Yager's Y(p), N(Y(p)),
-Y(N(p)) and linearity's line, each computed once, when first read.  A
-linear-family kernel is known by its alpha, so for ``yager`` Y(p) is N(p)
-itself, as is the line of a linear negator.  The reads run in builtins
-(bisect, map, min, max, sum): the fixed-point and boundary checks split a
-block at 1/n and go point by point only near 1/n and through a run whose
-bound an image breaks.  A claim a check presumes and the descriptor lacks
+Y(N(p)), linearity's line and the min and max of N over a run, each computed
+once, when first read.  A linear-family kernel is known by its alpha, so for
+``yager`` Y(p) is N(p) itself, as is the line of a linear negator.  The reads
+run in builtins (bisect, map, min, max, sum): the fixed-point and boundary
+checks split a block at 1/n, share a run's extremes where they split alike,
+and go point by point only near 1/n and through a run whose bound an image
+breaks; the balance reads nothing where N(Y(p)) and Y(N(p)) are equal lists
+of finite values.  A claim a check presumes and the descriptor lacks
 is refused first; then the length, the other preconditions and one-off
 evaluations, such as N(1/n), N(0) and N(1), run before the sweep.  Every
 check refuses a tolerance that is not a finite number >= 0, and every
@@ -28,7 +30,8 @@ The linear family's and the identity's kernels, and a mixture of those
 alone, compute N(p) from p and n and read no context.  For them the fixed
 point checks N(uniform) from the one value N(1/n), and the independence
 probe, which reads its contexts one at a time, gets one context that draws
-nothing; :func:`audit` draws seeded ones only for a kernel that may read them.
+nothing and evaluates N in it once; :func:`audit` draws seeded ones only for
+a kernel that may read them.
 
 Both seeded samplers draw each point through one helper, _simplex_point:
 unit exponentials -log(1.0 - random()) read through itertools.islice, as
@@ -43,6 +46,7 @@ import itertools
 import math
 import operator
 import random
+import weakref
 from collections.abc import Iterable, Mapping
 from types import MappingProxyType
 
@@ -206,8 +210,9 @@ def _refusal(descriptor: NegatorDescriptor, presumes: Iterable[str]) -> Independ
 
 class _Block:
     """One block of a sweep, which every check reads: the grid points, N at each
-    (``images``), whether every image is ``finite``, and each other image a check
-    reads, computed once and remembered by its kernel and input list."""
+    (``images``), whether every image is ``finite``, and each other value a check
+    reads, computed once and remembered: an image by its kernel and input list,
+    an extreme of ``images`` by its function and run."""
 
     def __init__(self, descriptor: NegatorDescriptor, n: int, points: list[float]) -> None:
         self.descriptor, self.n, self.points, self._memo = descriptor, n, points, {}
@@ -221,11 +226,26 @@ class _Block:
             self._memo[key] = descriptor.images(values, self.n)
         return self._memo[key]
 
-    def balance(self) -> list[float]:
-        """The residual |N(Y(p)) - Y(N(p))| at each point; for ``yager`` the two are one list."""
+    def extreme(self, pick, start: int, stop: int) -> float:
+        """``pick`` (min or max) of images[start:stop]: the fixed-point and
+        boundary-range reads share it where they split the block alike."""
+        key = pick, start, stop
+        if key not in self._memo:
+            self._memo[key] = pick(self.images[start:stop])
+        return self._memo[key]
+
+    def balance(self, tolerance: float) -> list[float] | None:
+        """The residual |N(Y(p)) - Y(N(p))| at each point, or None when none
+        exceeds the tolerance: the two are one list (``yager``) or equal lists
+        (``uniform``) of finite values, or else both are finite and the largest
+        residual, found without a list, is within it."""
         crossed, back = self.image(self.descriptor, self.image(YAGER, self.points)), self.image(YAGER, self.images)
-        if crossed is back and math.isfinite(sum(back)):
-            return [0.0] * len(back)
+        if crossed == back and math.isfinite(sum(back)):
+            return None
+        # Y maps a finite image to a finite value, so back is finite with the images; max
+        # skips a NaN that is not its first argument, and a NaN makes the sum of crossed NaN.
+        if self.finite and math.isfinite(sum(crossed)) and max(map(abs, map(operator.sub, crossed, back))) <= tolerance:
+            return None
         return list(map(abs, map(operator.sub, crossed, back)))
 
 
@@ -318,14 +338,14 @@ class _FixedPoint(_GridCheck):
             self.notes.append(f"pointwise checks skipped: descriptor {IndependenceRequired.refusal}")
 
     def read(self, block):
-        points, images, tolerance = block.points, block.images, self.tolerance
+        points, images, tolerance, size = block.points, block.images, self.tolerance, len(block.points)
         below, above = bisect.bisect_left(points, self.u - tolerance), bisect.bisect_right(points, self.u + tolerance)
         # N(p) - p must exceed the tolerance below 1/n - tol and lie under -tol above 1/n + tol.  On a
         # run it is at least min(N) - max(p) and at most max(N) - min(p), so a run within that passes.
-        if below and not (block.finite and tolerance < min(images[:below]) - points[below - 1]):
+        if below and not (block.finite and tolerance < block.extreme(min, 0, below) - points[below - 1]):
             self.scan(points[:below], images[:below])
         self.scan(points[below:above], images[below:above])
-        if above < len(points) and not (block.finite and max(images[above:]) - points[above] < -tolerance):
+        if above < size and not (block.finite and block.extreme(max, above, size) - points[above] < -tolerance):
             self.scan(points[above:], images[above:])
 
     def scan(self, points, images):
@@ -367,7 +387,8 @@ def functional_equation_residual(descriptor: NegatorDescriptor, n: int, p: float
     if refusal := _refusal(descriptor, _FunctionalEquation.presumes):
         raise refusal
     require_length(n)
-    return _Block(descriptor, n, ps).balance()[0]
+    residuals = _Block(descriptor, n, ps).balance(0.0)
+    return 0.0 if residuals is None else residuals[0]
 
 
 class _FunctionalEquation(_GridCheck):
@@ -379,9 +400,9 @@ class _FunctionalEquation(_GridCheck):
         super().__init__(grid_size, tolerance)
 
     def read(self, block):
-        tolerance, residuals = self.tolerance, block.balance()
-        # max skips a NaN that is not its first argument; a NaN residual makes the sum NaN.
-        if max(residuals) > tolerance or math.isnan(sum(residuals)):
+        tolerance = self.tolerance
+        residuals = block.balance(tolerance)
+        if residuals is not None:
             self.violations.extend(Violation(p, expected=0.0, actual=residual)
                                    for p, residual in zip(block.points, residuals) if not residual <= tolerance)
 
@@ -411,15 +432,16 @@ class _BoundaryRange(_GridCheck):
             self.violations.append(Violation(0.0, expected=tied, actual=at_zero))
 
     def read(self, block):
-        points, u, tolerance = block.points, self.u, self.tolerance
+        points, images, u, tolerance, size = block.points, block.images, self.u, self.tolerance, len(block.points)
         below, above = bisect.bisect_left(points, u), bisect.bisect_right(points, u)
-        head, tail = block.images[:below], block.images[above:]
         # N(p) must lie in [u, high] for p < u and in [0, u] for p > u, each widened by the tolerance.
-        if head and not (block.finite and u - tolerance <= min(head) and max(head) <= self.high + tolerance):
-            self.scan(points[:below], head)
-        self.scan(points[below:above], block.images[below:above])
-        if tail and not (block.finite and 0.0 - tolerance <= min(tail) and max(tail) <= u + tolerance):
-            self.scan(points[above:], tail)
+        if below and not (block.finite and u - tolerance <= block.extreme(min, 0, below)
+                          and block.extreme(max, 0, below) <= self.high + tolerance):
+            self.scan(points[:below], images[:below])
+        self.scan(points[below:above], images[below:above])
+        if above < size and not (block.finite and 0.0 - tolerance <= block.extreme(min, above, size)
+                                 and block.extreme(max, above, size) <= u + tolerance):
+            self.scan(points[above:], images[above:])
 
     def scan(self, points, images):
         u, high, tolerance, violations = self.u, self.high, self.tolerance, self.violations
@@ -521,8 +543,9 @@ def audit(descriptor: NegatorDescriptor, n: int, grid_size: int = DEFAULT_GRID_S
     those of :func:`contexts_containing`, drawn one by one; for any other (the
     linear family's, the identity's, and a mixture's of those alone), one
     context (PROBE_VALUE, 1 - PROBE_VALUE, 0, ..., 0), on the simplex as
-    built and so unchecked: it draws nothing and gives the drawn ones' report.
-    That context is then the one length-n tuple audit holds.
+    built and so unchecked, PROBE_CONTEXTS times: it draws nothing, N is
+    evaluated in it once, and it gives the drawn ones' report.  That context
+    is then the one length-n tuple audit holds.
     """
     _require_tolerance(tolerance)
     require_length(n)
@@ -560,14 +583,18 @@ def independence_probe(descriptor: NegatorDescriptor, p: float, contexts: Iterab
     the report notes.  O(count·n): each context in turn is searched for p, N
     is evaluated in it, and it is dropped, so a stream of contexts is held one
     at a time, and an error evaluating N in one context is raised before a
-    :class:`ContextMismatch` in a later one.
+    :class:`ContextMismatch` in a later one.  A run of one context object is
+    searched and evaluated in once; a weak reference to the last context
+    tells whether the next is the same, without holding it.
     """
     _require_tolerance(tolerance)
-    values, groups = [], {}
+    values, groups, last = [], {}, None
     for index, context in enumerate(contexts):
-        if p not in context.values and min(abs(c - p) for c in context.values) > CONTEXT_TOLERANCE:
-            raise ContextMismatch(f"context #{index + 1} has no component equal to {p!r}")
-        values.append(evaluate(descriptor, p, context=context))
+        if last is None or last() is not context:
+            if p not in context.values and min(abs(c - p) for c in context.values) > CONTEXT_TOLERANCE:
+                raise ContextMismatch(f"context #{index + 1} has no component equal to {p!r}")
+            value, last = evaluate(descriptor, p, context=context), weakref.ref(context)
+        values.append(value)
         groups.setdefault(len(context) if descriptor.uses_length else None, []).append(index)
         del context  # so that the next context is not drawn while this one is held
     notes = []

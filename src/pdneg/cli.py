@@ -287,6 +287,8 @@ def _csv_text(header: list[str], records: Iterable[dict], pretty: bool) -> Itera
     def cell(value) -> str:
         if isinstance(value, float):
             return number % value
+        if type(value) is int:  # digits and a sign, which csv never quotes
+            return str(value)
         if isinstance(value, bool):
             return "true" if value else "false"
         return "" if value is None or value == "" else quoted((value,))[:-1]

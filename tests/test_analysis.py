@@ -757,6 +757,42 @@ class TestBlockReads:
             assert linearity.max_residual == max(abs(value - y) if math.isfinite(value) else math.inf
                                                  for value, y in zip(images, linearity.line.images(points, n)))
 
+    @staticmethod
+    def extremes_computed(monkeypatch, check_types, tolerance):
+        """The (function, start, stop) of each extreme of N computed in a sweep of linear:alpha=0.3 at n = 5."""
+        computed = []
+        extreme = analysis._Block.extreme
+
+        def counted(block, pick, start, stop):
+            if (pick, start, stop) not in block._memo:
+                computed.append((pick.__name__, start, stop))
+            return extreme(block, pick, start, stop)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis._Block, "extreme", counted)
+            checks = [check_type(Linear(0.3), 5, 101, tolerance) for check_type in check_types]
+            analysis._sweep(Linear(0.3), 5, 101, checks)
+        return computed
+
+    @pytest.mark.parametrize("tolerance,fixed_point_runs", [(CHECK_TOLERANCE, (20, 21)), (0.015, (19, 22))])
+    def test_a_sweep_computes_each_extreme_it_reads_once(self, tolerance, fixed_point_runs, monkeypatch):
+        below, above = fixed_point_runs
+        # 1/n = 0.2 is the grid point 20/100; the fixed point splits at 1/n -+ tol, the boundary range at 1/n.
+        fixed_point = [("min", 0, below), ("max", above, 101)]
+        boundary = [("min", 0, 20), ("max", 0, 20), ("min", 21, 101), ("max", 21, 101)]
+        assert self.extremes_computed(monkeypatch, [analysis._FixedPoint], tolerance) == fixed_point
+        assert self.extremes_computed(monkeypatch, [analysis._BoundaryRange], tolerance) == boundary
+        both = self.extremes_computed(monkeypatch, analysis._GRID_CHECKS, tolerance)
+        assert sorted(both) == sorted(set(fixed_point + boundary))
+
+    @pytest.mark.parametrize("descriptor,exact", [(YAGER, True), (UNIFORM, True), (Linear(0.3), False)])
+    def test_a_balance_within_the_tolerance_builds_no_residual_list(self, descriptor, exact):
+        block = analysis._Block(descriptor, 5, [k / 100 for k in range(101)])
+        assert block.balance(CHECK_TOLERANCE) is None
+        # At tol 0 linear:alpha=0.3 misses the balance by one rounding at 55 of the 101 points.
+        residuals = block.balance(0.0)
+        assert residuals is None if exact else sum(residual > 0.0 for residual in residuals) == 55
+
     @pytest.mark.parametrize("descriptor,per_block", [(YAGER, 2), (UNIFORM, 4), (Linear(0.3), 4)])
     def test_a_block_computes_each_image_once(self, descriptor, per_block, monkeypatch):
         calls = []
@@ -920,6 +956,23 @@ class TestAuditProbe:
         assert repr(probe) == repr(self.drawn(YAGER, 5))  # by repr, since NaN != NaN
         assert len(probe.violations) == math.comb(analysis.PROBE_CONTEXTS, 2) == 28
         assert all(v.magnitude == math.inf for v in probe.violations)
+
+    @pytest.mark.parametrize("n", [5, 1000])
+    @pytest.mark.parametrize("spec,kernels", [("yager", 1), ("linear:alpha=0.3", 1),
+                                              ("mix:[0.3*linear:alpha=0.2,0.7*yager]", 2)])
+    def test_a_blind_kernel_is_evaluated_once_in_its_one_context(self, spec, kernels, n, monkeypatch):
+        probed = {}
+        kernel = _LinearFamily.images
+
+        def counted(self, values, n, context=None):
+            if values == (analysis.PROBE_VALUE,):
+                probed[id(self)] = probed.get(id(self), 0) + 1
+            return kernel(self, values, n, context)
+
+        monkeypatch.setattr(_LinearFamily, "images", counted)
+        audit(self.parsed(spec, n), n, grid_size=11)
+        # One evaluation for the PROBE_CONTEXTS copies of one context: once by each kernel of a mixture.
+        assert list(probed.values()) == [1] * kernels
 
     @staticmethod
     def draws(descriptor, monkeypatch):

@@ -191,10 +191,25 @@ def test_every_length_taker_refuses_n_1_with_the_same_error(call):
     assert str(excinfo.value) == "need n >= 2, got 1"
 
 
+#: Every float is an integer multiple of 2**-1074, the least subnormal.
+_UNIT = 2**1074
+
+
 def _exact_entropy(values) -> float:
-    """Independent oracle: the sum of (1 - p) * p in exact rational arithmetic."""
-    total = sum((1 - Fraction(p)) * Fraction(p) for p in values)
-    return float(total)
+    """Independent oracle: the sum of (1 - p) * p in exact integer arithmetic.
+    Each p is m / 2**1074 for an integer m, so the sum is one integer over
+    2**2148, and one int / int division rounds it correctly."""
+    scaled = [numerator * (_UNIT // denominator) for numerator, denominator in map(float.as_integer_ratio, values)]
+    return sum([(_UNIT - m) * m for m in scaled]) / (_UNIT * _UNIT)
+
+
+class _Long(tuple):
+    """A drawn (n, distribution) case whose repr names n and the distribution's
+    first and last components, not all n of them."""
+
+    def __repr__(self):
+        n, dist = self
+        return f"Case(n={n}, first={dist[0]!r}, last={dist[-1]!r})"
 
 
 class TestEntropy:
@@ -229,7 +244,7 @@ class TestEntropy:
     @settings(deadline=None, max_examples=10)
     @given(data=st.data())
     def test_entropy_is_correctly_rounded_on_long_distributions(self, n, data):
-        dist = data.draw(extreme_simplexes(n))
+        _, dist = data.draw(extreme_simplexes(n).map(lambda dist: _Long((n, dist))))
         assert entropy(dist) == _exact_entropy(dist.values)
 
     @staticmethod
