@@ -19,7 +19,8 @@ run in builtins (bisect, map, min, max, sum): the fixed-point and boundary
 checks split a block at 1/n, share a run's extremes where they split alike,
 and go point by point only near 1/n and through a run whose bound an image
 breaks; the balance reads nothing where N(Y(p)) and Y(N(p)) are equal lists
-of finite values.  A claim a check presumes and the descriptor lacks
+of finite values, and lists its residuals only when one may exceed the
+tolerance.  A claim a check presumes and the descriptor lacks
 is refused first; then the length, the other preconditions and one-off
 evaluations, such as N(1/n), N(0) and N(1), run before the sweep.  Every
 check refuses a tolerance that is not a finite number >= 0, and every
