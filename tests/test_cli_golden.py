@@ -80,12 +80,17 @@ COMMANDS = [
 QUOTED_COMMANDS = [
     ("negate-yager-quoted", ["negate", "yager"], 0),
     ("iterate-yager-quoted", ["iterate", "yager", "--steps", "2"], 0),
+    # Each quoted label recurs once per alpha.
+    ("sweep-alpha-quoted", ["sweep-alpha", "--alphas", "3"], 0),
+    # A record of three cells and no per-component list.
+    ("entropy-quoted", ["entropy"], 0),
 ]
 # (name, argv, exit code), run on FORMAT_LIKE_DOCUMENT
 FORMAT_LIKE_COMMANDS = [
     ("negate-yager-format-like", ["negate", "yager"], 0),
     ("iterate-yager-format-like", ["iterate", "yager", "--steps", "2"], 0),
     ("sweep-alpha-format-like", ["sweep-alpha", "--alphas", "3"], 0),
+    ("entropy-format-like", ["entropy"], 0),
 ]
 FORMATS = [
     ("json", []),
