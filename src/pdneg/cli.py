@@ -17,15 +17,18 @@ anywhere comes first, and of a repeated "distributions" key the last
 counts.  Reports go to stdout as JSON or CSV with full-precision numbers
 (--pretty rounds to 6 significant digits).  CSV columns are the JSON record
 fields, with per-component lists unrolled one row per component and
-numbered by `index`.  Each record is rendered as one string:
-its scalars are formatted once (text quoted by csv.writer) and repeated on
-each of its rows, and the numbers of a row are one %-format, so a label is
-never read as a format.  check writes one row per check.  negate and
-iterate parse the descriptor once per distinct distribution length.
-check only renders analysis.audit, the one plan of which checks run, with
-what probe, and what counts as passing.  Its --tol must be finite and >= 0,
-its --grid at least 2, and at least 3 when the linearity check applies (to a
-negator claiming pd-independence); both are refused before the grid is swept.
+numbered by `index`.  Each record is rendered as one string: its scalars
+are formatted once and repeated on each of its rows, and the numbers of a
+row are one %-format.  A shape (keys in order, value types) that recurs in
+a report gets a layout compiled once: a %-template for the scalars before
+`index` and one for those after, into which text, quoted by csv.writer,
+goes as a %s argument, so a label is never read as a format.  check writes
+one row per check.  negate and iterate parse the descriptor once per
+distinct distribution length.  check only renders analysis.audit, the one
+plan of which checks run, with what probe, and what counts as passing.  Its
+--tol must be finite and >= 0, its --grid at least 2, and at least 3 when
+the linearity check applies (to a negator claiming pd-independence); both
+are refused before the grid is swept.
 
 Every command first runs a preflight over the whole input: it reads and
 validates every distribution, resolves the descriptor for every distinct
@@ -75,6 +78,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice
+from operator import itemgetter
 from types import SimpleNamespace
 
 from .analysis import (CHECK_TOLERANCE, DEFAULT_GRID_SIZE, MAX_COMPONENT_EVALUATIONS, audit, iterate_negation,
@@ -95,6 +99,10 @@ CHUNK_RECORDS = 64
 #: field renders to its JSON, "\u0000records", as labels live only in records.
 _RECORDS = "\0records"
 _RECORDS_JSON = json.dumps(_RECORDS)
+#: Records of one shape a CSV report renders cell by cell, the last of them
+#: compiling the layout the rest render through: compiling costs about two such
+#: records, and a check report holds at most three records of a shape.
+_CELL_BY_CELL = 4
 #: Longest error message printed whole; a longer one prints its first 300
 #: characters, which name the entry, and its last 95, which give the reason.
 _MESSAGE_CAP = 400
@@ -279,7 +287,12 @@ def _rounded(node):
 
 def _csv_text(header: list[str], records: Iterable[dict], pretty: bool) -> Iterator[str]:
     """CSV text of report records, one string per record, as the module
-    docstring describes; non-empty per-component lists of floats follow `index`."""
+    docstring describes; non-empty per-component lists of floats follow `index`.
+
+    A record's shape is its keys in order and the type of each value.  The
+    first _CELL_BY_CELL records of a shape are rendered cell by cell, and the
+    last of them compiles the shape's layout (see `layout`) for the rest.
+    """
     number = "%.6g" if pretty else "%.17g"
     # writerow returns what its file's write returns: here the row's text.
     quoted = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
@@ -293,17 +306,74 @@ def _csv_text(header: list[str], records: Iterable[dict], pretty: bool) -> Itera
             return "true" if value else "false"
         return "" if value is None or value == "" else quoted((value,))[:-1]
 
-    yield ",".join(map(cell, header)) + "\n"
-    for record in records:
-        fields = [record.get(name) for name in header]
-        lists = [field for field in fields if isinstance(field, list)]
+    def layout(fields: list) -> tuple:
+        """How to render the records shaped like one whose fields, in header
+        order, are `fields`:
+        - a getter of the tuple of its fields that are not None: those before
+          `index` (all of them, if it has no list), its lists, those after them;
+        - the positions in that tuple of the cells cell() renders, which are
+          all but floats and ints;
+        - the %-template of the cells before `index` (of the whole line, if it
+          has no list), in which None is an empty cell;
+        - where its lists are in the tuple (None if it has none);
+        - the %-template of the cells after its lists, and the row template.
+        """
+        lists = [name for name, field in zip(header, fields) if isinstance(field, list)]
+        start = header.index("index") if lists else len(header)
+        names, texts = [], []
+
+        def specs(part: range) -> list[str]:
+            """The %-spec of each cell in `part`; `names` gets its fields that are not None next."""
+            found = []
+            for at in part:
+                kind = type(fields[at])
+                if fields[at] is None:
+                    found.append("")
+                    continue
+                if kind is not float and kind is not int:
+                    texts.append(len(names))
+                found.append(number if kind is float else "%d" if kind is int else "%s")
+                names.append(header[at])
+            return found
+
+        head = specs(range(start))
+        lists_at = slice(len(names), len(names) + len(lists))
+        names += lists
+        tail = specs(range(start + 1 + len(lists), len(header)))
+        get = itemgetter(*names) if len(names) > 1 else lambda record: tuple(map(record.__getitem__, names))
         if not lists:
-            yield ",".join(map(cell, fields)) + "\n"
-            continue
-        start = header.index("index")
-        head = "".join([cell(field) + "," for field in fields[:start]])
-        tail = "".join(["," + cell(field) for field in fields[start + 1 + len(lists):]]) + "\n"
-        row = ",".join(["%d"] + [number] * len(lists))
+            return get, texts, ",".join(head) + "\n", None, "", ""
+        return (get, texts, "".join([spec + "," for spec in head]), lists_at,
+                "".join(["," + spec for spec in tail]) + "\n", ",".join(["%d"] + [number] * len(lists)))
+
+    yield ",".join(map(cell, header)) + "\n"
+    layouts: dict[tuple, tuple | int] = {}  # each shape's layout, or how many of its records came so far
+    for record in records:
+        shape = (*record, *map(type, record.values()))
+        seen = layouts.get(shape, 0)
+        if type(seen) is tuple:
+            get, texts, head, lists_at, tail, row = seen
+            values = get(record)
+            if texts:
+                values = list(values)
+                for text in texts:
+                    values[text] = cell(values[text])
+                values = tuple(values)
+            if lists_at is None:
+                yield head % values
+                continue
+            head, lists, tail = head % values[:lists_at.start], values[lists_at], tail % values[lists_at.stop:]
+        else:
+            fields = [record.get(name) for name in header]
+            layouts[shape] = seen + 1 if seen + 1 < _CELL_BY_CELL else layout(fields)
+            lists = [field for field in fields if isinstance(field, list)]
+            if not lists:
+                yield ",".join(map(cell, fields)) + "\n"
+                continue
+            start = header.index("index")
+            head = "".join([cell(field) + "," for field in fields[:start]])
+            tail = "".join(["," + cell(field) for field in fields[start + 1 + len(lists):]]) + "\n"
+            row = ",".join(["%d"] + [number] * len(lists))
         yield head + (tail + head).join(map(row.__mod__, zip(range(1, len(lists[0]) + 1), *lists))) + tail
 
 
@@ -356,16 +426,15 @@ def _emit(args, payload: dict, header: list[str], rows: Iterable[dict], size: in
     sys.stdout.writelines(pieces)
 
 
-def _negation(descriptor, dist: Distribution, input_entropy: float) -> dict:
-    """The output of one negation and the entropy it moved."""
+def _negation(descriptor, dist: Distribution, input_entropy: float, record: dict) -> dict:
+    """`record` with the output of one negation and the entropy it moved added, in place."""
     negated = apply_transformation(descriptor, dist)
     output_entropy = entropy(negated)
-    return {
-        "output": list(negated.values),
-        "input_entropy": input_entropy,
-        "output_entropy": output_entropy,
-        "entropy_delta": output_entropy - input_entropy,
-    }
+    record["output"] = list(negated.values)
+    record["input_entropy"] = input_entropy
+    record["output_entropy"] = output_entropy
+    record["entropy_delta"] = output_entropy - input_entropy
+    return record
 
 
 def _check_size(flag: str, value: int, *, at_least: int | None = None) -> None:
@@ -388,8 +457,8 @@ def cmd_negate(args) -> int:
     distributions = _read_input(args)
     descriptors = {n: parse_descriptor(args.negator, n=n) for n in _lengths(distributions)}
     results = (
-        {"label": label, "n": len(dist), "input": list(dist.values),
-         **_negation(descriptors[len(dist)], dist, entropy(dist))}
+        _negation(descriptors[len(dist)], dist, entropy(dist),
+                  {"label": label, "n": len(dist), "input": list(dist.values)})
         for label, dist in distributions
     )
     header = ["label", "index", "input", "output", "input_entropy", "output_entropy", "entropy_delta"]
@@ -475,7 +544,7 @@ def cmd_sweep_alpha(args) -> int:
     input_entropies = [entropy(dist) for _, dist in distributions]
     alphas = [i / (args.alphas - 1) for i in range(args.alphas)]
     results = (
-        {"alpha": alpha, "label": label, **_negation(descriptor, dist, h)}
+        _negation(descriptor, dist, h, {"alpha": alpha, "label": label})
         for alpha, descriptor in zip(alphas, map(linear_from_alpha, alphas))
         for (label, dist), h in zip(distributions, input_entropies)
     )

@@ -518,6 +518,25 @@ class TestTextReportMemory(TestReportMemory):
         return str(directory / "input.txt"), str(directory / "warm-up.txt")
 
 
+class TestWideRecordMemory:
+    """A CSV record of n = 2 * 10**5 components after _CELL_BY_CELL short
+    records of its shape, so that it renders through the shape's layout: its
+    rows are joined into one string and not copied again.  Before layouts,
+    the report's traced peak was 62.7 MB; the bound is 65 MiB."""
+
+    def test_a_wide_csv_record_peaks_near_the_cell_by_cell_renderer(self, tmp_path):
+        from pdneg.analysis import sample_distributions
+
+        wide = sample_distributions(2 * 10**5, 1, seed=3)[0]
+        entries = [{"label": f"d{i}", "values": [0.5, 0.25, 0.25]} for i in range(cli._CELL_BY_CELL)]
+        entries.append({"label": "wide", "values": list(wide.values)})
+        (tmp_path / "input.json").write_text(json.dumps({"distributions": entries}))
+        (tmp_path / "warm-up.json").write_text(json.dumps({"distributions": entries[:1]}))
+        argv = ["negate", "yager", "--format", "csv"]
+        peak = TestReportMemory.peak(argv, str(tmp_path / "input.json"), str(tmp_path / "warm-up.json"))
+        assert peak <= 65 * 2**20
+
+
 class TestSizeCaps:
     @pytest.mark.parametrize(
         "argv",

@@ -5,7 +5,8 @@ unrolled by `zip` with `index` numbering the rows, and every row written by
 csv.writer.  `cli._csv_text` must give the same text for any records a
 report can hold: arbitrary text (no carriage return, which the CLI refuses
 under CSV), any float, bools, None and ints, with and without per-component
-lists, plain and --pretty.
+lists, plain and --pretty.  It must also give it when a report's records
+share shapes, which it renders through a layout compiled once per shape.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import repeat
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdneg.cli import _csv_text
+from pdneg.cli import _CELL_BY_CELL, _csv_text
 
 
 def reference(header: list[str], records: list[dict], pretty: bool) -> str:
@@ -91,3 +92,49 @@ def test_text_cells_read_back_as_written(labels, pretty):
     rows = list(csv.reader(io.StringIO("".join(_csv_text(header, records, pretty)))))
     assert rows[0] == header
     assert [(row[0], row[3]) for row in rows[1:]] == [(label, label) for label in labels for _ in range(2)]
+
+
+#: Text cells that %-formats or CSV quoting could misread, and their parts.
+tricky_texts = st.one_of(
+    texts,
+    st.lists(st.sampled_from(["%", "%s", "%%", "%d", ",", '"', "\n", " ", "a", "\u00e9"]), max_size=4).map("".join),
+)
+kinds = {
+    "none": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(min_value=-(10**30), max_value=10**30),
+    "float": floats,
+    "text": tricky_texts,
+}
+
+
+@st.composite
+def shaped_reports(draw):
+    """A header and records drawn from one to three fixed shapes (the same
+    keys in the same order, each value of the same type), in runs of up to a
+    few more records than the renderer takes to compile a shape's layout:
+    a layout is reused, meets a new shape, and is reused again."""
+    before = [f"b{i}" for i in range(draw(st.integers(1, 3)))]
+    per_row = [f"l{i}" for i in range(draw(st.integers(0, 3)))]
+    after = [f"a{i}" for i in range(draw(st.integers(1, 3)))]
+    header = before + (["index"] + per_row if per_row else []) + after
+    shapes = []
+    for _ in range(draw(st.integers(1, 3))):
+        cells = {name: draw(st.sampled_from(sorted(kinds))) for name in before + after if draw(st.booleans())}
+        keys = list(cells) + (per_row if per_row and draw(st.booleans()) else [])
+        shapes.append((draw(st.permutations(keys)), cells))
+    records = []
+    for _ in range(draw(st.integers(1, 6))):
+        keys, cells = shapes[draw(st.integers(0, len(shapes) - 1))]
+        for _ in range(draw(st.integers(1, _CELL_BY_CELL + 4))):
+            length = draw(st.integers(1, 4))
+            records.append({key: draw(kinds[cells[key]]) if key in cells
+                            else draw(st.lists(floats, min_size=length, max_size=length)) for key in keys})
+    return header, records
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_reports(), st.booleans())
+def test_records_of_repeated_shapes_render_as_csv_writer_wrote(report, pretty):
+    header, records = report
+    assert "".join(_csv_text(header, records, pretty)) == reference(header, records, pretty)
