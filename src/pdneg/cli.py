@@ -19,16 +19,17 @@ counts.  Reports go to stdout as JSON or CSV with full-precision numbers
 fields, with per-component lists unrolled one row per component and
 numbered by `index`.  Each record is rendered as one string: its scalars
 are formatted once and repeated on each of its rows, and the numbers of a
-row are one %-format.  A shape (keys in order, value types) that recurs in
-a report gets a layout compiled once: a %-template for the scalars before
-`index` and one for those after, into which text, quoted by csv.writer,
-goes as a %s argument, so a label is never read as a format.  check writes
-one row per check.  negate and iterate parse the descriptor once per
-distinct distribution length.  check only renders analysis.audit, the one
-plan of which checks run, with what probe, and what counts as passing.  Its
---tol must be finite and >= 0, its --grid at least 2, and at least 3 when
-the linearity check applies (to a negator claiming pd-independence); both
-are refused before the grid is swept.
+row are one %-format.  After a report's first five records, each renders
+through the layout compiled once for its shape (keys in order, value
+types): a %-template for the scalars before `index` and one for those
+after, into which text, quoted by csv.writer, goes as a %s argument, so a
+label is never read as a format.  check writes one row per check, at most
+five.  negate and iterate parse the descriptor once per distinct
+distribution length.  check only renders analysis.audit, the one plan of
+which checks run, with what probe, and what counts as passing.  Its --tol
+must be finite and >= 0, its --grid at least 2, and at least 3 when the
+linearity check applies (to a negator claiming pd-independence); both are
+refused before the grid is swept.
 
 Every command first runs a preflight over the whole input: it reads and
 validates every distribution, resolves the descriptor for every distinct
@@ -99,10 +100,10 @@ CHUNK_RECORDS = 64
 #: field renders to its JSON, "\u0000records", as labels live only in records.
 _RECORDS = "\0records"
 _RECORDS_JSON = json.dumps(_RECORDS)
-#: Records of one shape a CSV report renders cell by cell, the last of them
-#: compiling the layout the rest render through: compiling costs about two such
-#: records, and a check report holds at most three records of a shape.
-_CELL_BY_CELL = 4
+#: Records a CSV report renders cell by cell before it renders each record
+#: through its shape's layout.  A check report holds at most five records, most
+#: of a shape that occurs once, so it renders them as it would without layouts.
+_CELL_BY_CELL = 5
 #: Longest error message printed whole; a longer one prints its first 300
 #: characters, which name the entry, and its last 95, which give the reason.
 _MESSAGE_CAP = 400
@@ -289,9 +290,9 @@ def _csv_text(header: list[str], records: Iterable[dict], pretty: bool) -> Itera
     """CSV text of report records, one string per record, as the module
     docstring describes; non-empty per-component lists of floats follow `index`.
 
-    A record's shape is its keys in order and the type of each value.  The
-    first _CELL_BY_CELL records of a shape are rendered cell by cell, and the
-    last of them compiles the shape's layout (see `layout`) for the rest.
+    The first _CELL_BY_CELL records are rendered cell by cell.  Each later
+    record renders through the layout of its shape, its keys in order and the
+    type of each value (see `layout`), compiled when the shape first comes.
     """
     number = "%.6g" if pretty else "%.17g"
     # writerow returns what its file's write returns: here the row's text.
@@ -347,12 +348,14 @@ def _csv_text(header: list[str], records: Iterable[dict], pretty: bool) -> Itera
                 "".join(["," + spec for spec in tail]) + "\n", ",".join(["%d"] + [number] * len(lists)))
 
     yield ",".join(map(cell, header)) + "\n"
-    layouts: dict[tuple, tuple | int] = {}  # each shape's layout, or how many of its records came so far
-    for record in records:
-        shape = (*record, *map(type, record.values()))
-        seen = layouts.get(shape, 0)
-        if type(seen) is tuple:
-            get, texts, head, lists_at, tail, row = seen
+    layouts: dict[tuple, tuple] = {}  # each shape's layout, for this report only
+    for count, record in enumerate(records):
+        if count >= _CELL_BY_CELL:
+            shape = (*record, *map(type, record.values()))
+            found = layouts.get(shape)
+            if found is None:
+                found = layouts[shape] = layout([record.get(name) for name in header])
+            get, texts, head, lists_at, tail, row = found
             values = get(record)
             if texts:
                 values = list(values)
@@ -365,7 +368,6 @@ def _csv_text(header: list[str], records: Iterable[dict], pretty: bool) -> Itera
             head, lists, tail = head % values[:lists_at.start], values[lists_at], tail % values[lists_at.stop:]
         else:
             fields = [record.get(name) for name in header]
-            layouts[shape] = seen + 1 if seen + 1 < _CELL_BY_CELL else layout(fields)
             lists = [field for field in fields if isinstance(field, list)]
             if not lists:
                 yield ",".join(map(cell, fields)) + "\n"

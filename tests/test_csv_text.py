@@ -112,17 +112,22 @@ kinds = {
 def shaped_reports(draw):
     """A header and records drawn from one to three fixed shapes (the same
     keys in the same order, each value of the same type), in runs of up to a
-    few more records than the renderer takes to compile a shape's layout:
-    a layout is reused, meets a new shape, and is reused again."""
+    few more records than the renderer renders cell by cell before it uses
+    layouts: a layout is reused, meets a new shape, and is reused again.
+    The shapes take their keys in one order, and often the same keys, so
+    that two of them may differ only in the types of their values."""
     before = [f"b{i}" for i in range(draw(st.integers(1, 3)))]
     per_row = [f"l{i}" for i in range(draw(st.integers(0, 3)))]
     after = [f"a{i}" for i in range(draw(st.integers(1, 3)))]
     header = before + (["index"] + per_row if per_row else []) + after
+    order = draw(st.permutations(before + after + per_row))
+    common = [name for name in before + after if draw(st.booleans())]
     shapes = []
     for _ in range(draw(st.integers(1, 3))):
-        cells = {name: draw(st.sampled_from(sorted(kinds))) for name in before + after if draw(st.booleans())}
-        keys = list(cells) + (per_row if per_row and draw(st.booleans()) else [])
-        shapes.append((draw(st.permutations(keys)), cells))
+        names = common if draw(st.booleans()) else [name for name in before + after if draw(st.booleans())]
+        cells = {name: draw(st.sampled_from(sorted(kinds))) for name in names}
+        lists = per_row if draw(st.booleans()) else []
+        shapes.append(([key for key in order if key in cells or key in lists], cells))
     records = []
     for _ in range(draw(st.integers(1, 6))):
         keys, cells = shapes[draw(st.integers(0, len(shapes) - 1))]
