@@ -75,6 +75,8 @@ COMMANDS = [
     # fixed point, balance and boundary range.
     ("check-uniform-n1000", ["check", "uniform", "--n", "1000", "--grid", "10001"], 0),
     ("check-linear-tol0", ["check", "linear:alpha=0.3", "--n", "5", "--grid", "101", "--tol", "0"], 1),
+    # A tolerance above the balance's largest residual and below its residuals' norm.
+    ("check-linear-tol1e-16", ["check", "linear:alpha=0.3", "--n", "5", "--grid", "101", "--tol", "1e-16"], 0),
 ]
 # (name, argv, exit code), run on QUOTED_DOCUMENT
 QUOTED_COMMANDS = [
