@@ -19,7 +19,9 @@ run in builtins (bisect, map, min, max, sum): the fixed-point and boundary
 checks split a block at 1/n, share a run's extremes where they split alike,
 and go point by point only near 1/n and through a run whose bound an image
 breaks; the balance reads nothing where N(Y(p)) and Y(N(p)) are equal lists
-of finite values, and lists its residuals only when one may exceed the
+of finite values, passes a block of finite images whose residuals' Euclidean
+norm (math.dist) is within half the tolerance, and otherwise scans the
+residuals point by point, listing them only when one may exceed the
 tolerance.  A claim a check presumes and the descriptor lacks
 is refused first; then the length, the other preconditions and one-off
 evaluations, such as N(1/n), N(0) and N(1), run before the sweep.  Every
@@ -238,13 +240,19 @@ class _Block:
     def balance(self, tolerance: float) -> list[float] | None:
         """The residual |N(Y(p)) - Y(N(p))| at each point, or None when none
         exceeds the tolerance: the two are one list (``yager``) or equal lists
-        (``uniform``) of finite values, or else both are finite and the largest
-        residual, found without a list, is within it."""
+        (``uniform``) of finite values, or else the images are finite and the
+        residuals' Euclidean norm, math.dist, is within half the tolerance.
+        Only when the norm cannot settle the block is the largest residual
+        found point by point, without a list."""
         crossed, back = self.image(self.descriptor, self.image(YAGER, self.points)), self.image(YAGER, self.images)
         if crossed == back and math.isfinite(sum(back)):
             return None
-        # Y maps a finite image to a finite value, so back is finite with the images; max
-        # skips a NaN that is not its first argument, and a NaN makes the sum of crossed NaN.
+        # Y maps a finite image to a finite value, so back is finite with the images.  The norm
+        # is at least the largest residual, half the tolerance absorbs its last-bit rounding, and
+        # a NaN or infinite residual makes it NaN or infinite.
+        if self.finite and math.dist(crossed, back) <= tolerance / 2:
+            return None
+        # max skips a NaN that is not its first argument, and a NaN makes the sum of crossed NaN.
         if self.finite and math.isfinite(sum(crossed)) and max(map(abs, map(operator.sub, crossed, back))) <= tolerance:
             return None
         return list(map(abs, map(operator.sub, crossed, back)))

@@ -529,7 +529,8 @@ def cmd_iterate(args) -> int:
         for label, dist in distributions
     )
     header = ["label", "step", "index", "value", "distance_to_uniform", "entropy"]
-    rows = ({"label": result["label"], "value": step["values"], **step}
+    rows = ({"label": result["label"], "step": step["step"], "value": step["values"],
+             "distance_to_uniform": step["distance_to_uniform"], "entropy": step["entropy"]}
             for result in results for step in result["trace"])
     # A JSON record holds a whole trace, so a chunk of them holds about CHUNK_RECORDS distributions.
     _emit(args, {"command": "iterate", "results": results}, header, rows, max(1, CHUNK_RECORDS // (args.steps + 1)))

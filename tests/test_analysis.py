@@ -7,6 +7,7 @@ import gc
 import json
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -728,12 +729,25 @@ class TestBlockReads:
         # The wide tolerance puts several grid points within it of 1/n.
         tolerance = data.draw(st.sampled_from([0.0, CHECK_TOLERANCE, 3.5 / last]), "tolerance")
         spoilt = data.draw(st.sampled_from(points), "NaN at")
+        spike, crossing = 1.5 * tolerance, YAGER.images([spoilt], n)[0]
         descriptor = data.draw(st.sampled_from([
             YAGER, Linear(0.3), self.SQRT, IDENTITY, _Pointwise(_wobble),
             _Pointwise(lambda p, n: math.nan if p == spoilt else (1.0 - p) / (n - 1)),
             # Halfway between 1/n and 1/(n-1) at every p: inside the bound below 1/n only.
             _Pointwise(lambda p, n: (1.0 - p) / (n - 1) + (1.0 / (n - 1) - 1.0 / n) / 2),
+            # Yager's kernel but at Y(spoilt): most often one residual, of 1.5 x tol, among exact points,
+            # so the residuals' norm is within twice the tolerance and a violation all the same.
+            _Pointwise(lambda p, n: YAGER.images([p], n)[0] + (spike if p == crossing else 0.0)),
         ]), "descriptor")
+        cut = data.draw(st.integers(0, len(points)), "block split")
+        # Between the first block's largest residual and twice its residuals' norm, the norm
+        # cannot settle the balance and the per-point scan decides.
+        first = points[:cut] or points
+        residuals = [abs(x - y) for x, y in zip(descriptor.images(YAGER.images(first, n), n),
+                                                YAGER.images(descriptor.images(first, n), n))]
+        largest, norm = max(residuals), math.hypot(*residuals)
+        if largest < 2 * norm < math.inf:
+            tolerance = data.draw(st.one_of(st.just(tolerance), st.floats(largest, 2 * norm)), "tolerance")
         # A read depends on n and the tolerance alone; the block holds the descriptor's images.
         checks = [check_type(YAGER, n, len(points), tolerance)
                   for check_type in (analysis._FixedPoint, analysis._FunctionalEquation, analysis._BoundaryRange)]
@@ -741,7 +755,6 @@ class TestBlockReads:
             check.violations.clear()
         linearity = analysis._Linearity(descriptor, n, len(points), tolerance) if descriptor.claims_negator else None
         sweeps = linearity is not None and linearity.sweeps
-        cut = data.draw(st.integers(0, len(points)), "block split")
         expected = {check.name: [] for check in checks}
         for block_points in (points[:cut], points[cut:]):
             if block_points:
@@ -785,13 +798,43 @@ class TestBlockReads:
         both = self.extremes_computed(monkeypatch, analysis._GRID_CHECKS, tolerance)
         assert sorted(both) == sorted(set(fixed_point + boundary))
 
-    @pytest.mark.parametrize("descriptor,exact", [(YAGER, True), (UNIFORM, True), (Linear(0.3), False)])
-    def test_a_balance_within_the_tolerance_builds_no_residual_list(self, descriptor, exact):
+    @pytest.mark.parametrize("descriptor,tolerance,exact", [
+        (YAGER, CHECK_TOLERANCE, True), (UNIFORM, CHECK_TOLERANCE, True), (Linear(0.3), CHECK_TOLERANCE, False),
+        # Above the largest residual, 2.78e-17, but below twice the 101 residuals' norm, 2.06e-16:
+        # the norm cannot settle the block, and the per-point scan finds it within the tolerance.
+        (Linear(0.3), 1e-16, False),
+    ])
+    def test_a_balance_within_the_tolerance_builds_no_residual_list(self, descriptor, tolerance, exact):
         block = analysis._Block(descriptor, 5, [k / 100 for k in range(101)])
-        assert block.balance(CHECK_TOLERANCE) is None
+        assert block.balance(tolerance) is None
         # At tol 0 linear:alpha=0.3 misses the balance by one rounding at 55 of the 101 points.
         residuals = block.balance(0.0)
         assert residuals is None if exact else sum(residual > 0.0 for residual in residuals) == 55
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 3000), st.sampled_from(["unit", "subnormal", "near one"]),
+           st.sampled_from(["a few ulps", "one difference", "independent"]), st.randoms(use_true_random=False))
+    def test_the_largest_difference_is_within_twice_the_distance(self, size, values, apart, rng):
+        """The fact the balance's norm bound rests on, for math.dist as this Python computes it."""
+        draw = {"unit": rng.random, "subnormal": lambda: rng.random() * sys.float_info.min,
+                "near one": lambda: 1.0 - rng.randrange(64) * 2.0**-53}[values]
+        a = [draw() for _ in range(size)]
+        if apart == "a few ulps":
+            b = [x + rng.randint(-4, 4) * math.ulp(x) for x in a]
+        elif apart == "one difference":
+            b = list(a)
+            b[rng.randrange(size)] = draw()
+        else:
+            b = [draw() for _ in range(size)]
+        assert max(abs(x - y) for x, y in zip(a, b)) <= 2 * math.dist(a, b)
+
+    def test_a_default_tolerance_balance_is_settled_by_the_norm(self, monkeypatch):
+        block = analysis._Block(Linear(0.3), 5, [k / 2047 for k in range(2048)])
+        subtracted = []
+        monkeypatch.setattr(analysis.operator, "sub", lambda x, y: subtracted.append(1) or x - y)
+        assert block.balance(CHECK_TOLERANCE) is None and subtracted == []
+        # The residuals are there: at tol 0 the per-point scan lists them, through the stand-in.
+        assert max(block.balance(0.0)) > 0.0 and len(subtracted) == 2 * 2048
 
     @pytest.mark.parametrize("descriptor,per_block", [(YAGER, 2), (UNIFORM, 4), (Linear(0.3), 4)])
     def test_a_block_computes_each_image_once(self, descriptor, per_block, monkeypatch):
